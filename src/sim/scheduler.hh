@@ -1,34 +1,27 @@
 /**
  * @file
- * Pending-event schedulers for the discrete-event kernel.
+ * Pending-event scheduler for the discrete-event kernel.
  *
  * The EventQueue's service order is the total key (when, priority,
  * insertion sequence) — seq is unique, so the order is a strict total
  * order and ANY structure that yields the minimum remaining key
- * services events in exactly the same sequence. That is the whole
- * correctness argument for swapping the scheduler: both
- * implementations here are observationally identical, and the golden
- * / determinism gates hold the proof.
+ * services events in exactly the same sequence. The stress suite
+ * checks the ladder below against a min-scan reference model, and
+ * the golden / determinism gates hold the end-to-end proof.
  *
- *  - HeapScheduler: the original std::priority_queue binary heap.
- *    O(log n) per operation with pointer-heavy 32-byte entries; kept
- *    as the reference kernel for the stress tests and the events/sec
- *    microbench baseline (KMU_EVENT_KERNEL=heap selects it).
- *
- *  - LadderScheduler: a three-rung hierarchical calendar ("ladder")
- *    tuned for the near-monotone tick distribution the core models
- *    produce. Insertion is O(1): an event lands in a bucket of the
- *    finest rung whose window covers its tick (1.024 ns buckets,
- *    then 262 ns, then 67 us; events beyond ~17 ms go to an
- *    overflow list that is re-bucketed when reached). Service pulls
- *    one finest-rung bucket at a time into a sorted "active" run;
- *    same-window insertions (the dominant schedule-at-curTick case)
- *    binary-insert into that run. Every comparison that decides
- *    order happens on the full (when, prio, seq) key inside one
- *    bucket's sort, so the service order is provably the global key
- *    order: buckets partition time, rungs cascade in time order,
- *    and no event can enter a bucket that has already been drained
- *    (EventQueue guarantees when >= now).
+ * LadderScheduler is a three-rung hierarchical calendar ("ladder")
+ * tuned for the near-monotone tick distribution the core models
+ * produce. Insertion is O(1): an event lands in a bucket of the
+ * finest rung whose window covers its tick (1.024 ns buckets, then
+ * 262 ns, then 67 us; events beyond ~17 ms go to an overflow list
+ * that is re-bucketed when reached). Service pulls one finest-rung
+ * bucket at a time into a sorted "active" run; same-window
+ * insertions (the dominant schedule-at-curTick case) binary-insert
+ * into that run. Every comparison that decides order happens on the
+ * full (when, prio, seq) key inside one bucket's sort, so the
+ * service order is provably the global key order: buckets partition
+ * time, rungs cascade in time order, and no event can enter a bucket
+ * that has already been drained (EventQueue guarantees when >= now).
  *
  * Cancellation stays lazy (seq parked in a set, entries dropped when
  * met); compact() walks the structure to drop them eagerly when the
@@ -40,7 +33,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -76,83 +68,6 @@ entryLess(const Entry &a, const Entry &b)
         return a.prio < b.prio;
     return a.seq < b.seq;
 }
-
-/**
- * The original binary-heap scheduler (reference kernel).
- */
-class HeapScheduler
-{
-  public:
-    void
-    insert(const Entry &e)
-    {
-        heap.push(e);
-    }
-
-    /**
-     * Expose the minimum remaining entry, dropping cancelled entries
-     * (their seqs are erased from @p cancels) on the way.
-     * @return false when nothing remains.
-     */
-    bool
-    peek(Entry &out, CancelSet &cancels)
-    {
-        while (!heap.empty() && cancels.erase(heap.top().seq))
-            heap.pop();
-        if (heap.empty())
-            return false;
-        out = heap.top();
-        return true;
-    }
-
-    /** Remove the entry a successful peek() just exposed. */
-    void
-    popFront()
-    {
-        heap.pop();
-    }
-
-    /** Rebuild without the entries named in @p cancels. */
-    void
-    compact(CancelSet &cancels, std::size_t expected_live)
-    {
-        std::vector<Entry> survivors;
-        survivors.reserve(expected_live);
-        while (!heap.empty()) {
-            const Entry &entry = heap.top();
-            if (!cancels.erase(entry.seq))
-                survivors.push_back(entry);
-            heap.pop();
-        }
-        heap = decltype(heap)(Compare{}, std::move(survivors));
-    }
-
-    /** Entries stored, cancelled ones included. */
-    std::size_t size() const { return heap.size(); }
-
-    /** Visit every stored entry (teardown walk; order unspecified). */
-    template <typename Fn>
-    void
-    forEachEntry(Fn fn)
-    {
-        while (!heap.empty()) {
-            fn(heap.top());
-            heap.pop();
-        }
-    }
-
-  private:
-    struct Compare
-    {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            return entryLess(b, a); // max-heap on reversed order
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, Compare> heap;
-};
 
 /**
  * Three-rung ladder/calendar scheduler. See the file comment for the
@@ -246,8 +161,9 @@ class LadderScheduler
         --count;
     }
 
+    /** Drop every entry named in @p cancels. */
     void
-    compact(CancelSet &cancels, std::size_t /*expected_live*/)
+    compact(CancelSet &cancels)
     {
         auto dead = [&](const Entry &e) {
             if (cancels.erase(e.seq)) {
@@ -277,8 +193,8 @@ class LadderScheduler
 
     std::size_t size() const { return count; }
 
-    /** Visit every stored entry, consuming it (like HeapScheduler's
-     *  draining walk): afterwards size()==0 and nothing is stored. */
+    /** Visit every stored entry, consuming it (teardown walk; order
+     *  unspecified): afterwards size()==0 and nothing is stored. */
     template <typename Fn>
     void
     forEachEntry(Fn fn)

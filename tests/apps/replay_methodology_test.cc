@@ -119,10 +119,13 @@ TEST(ReplayMethodologyTest, SecondRunMatchesRecordingExactly)
     ASSERT_GT(recording.size(), 1000u);
 
     // Run 2: same BFS against the software-queue device with the
-    // recording loaded into the replay checker.
+    // recording loaded into the replay checker. The manual-pump
+    // device keeps the run free of OS scheduling: a starved device
+    // thread would let the watchdog re-issue requests, and each
+    // duplicate counts as a replay miss.
     Runtime rt(setup.image,
                {.mechanism = Mechanism::SwQueue,
-                .deviceLatency = std::chrono::nanoseconds(200)});
+                .deterministicDevice = true});
     rt.emulatedDevice()->enableReplayCheck(rt.queuePairIndex(),
                                            recording, 64);
     BfsResult replayed;

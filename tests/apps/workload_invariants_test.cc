@@ -135,8 +135,11 @@ TEST(WorkloadInvariantsTest, KvUpdateIsReadBack)
     p.buckets = 1 << 6;
     KvBuilder builder(p);
     for (int i = 0; i < 50; ++i) {
-        builder.put("k" + std::to_string(i),
-                    std::string(130, 'x'));
+        // Appending to a named string sidesteps gcc 12's false
+        // -Wrestrict inside operator+(const char *, std::string &&).
+        std::string key(1, 'k');
+        key += std::to_string(i);
+        builder.put(key, std::string(130, 'x'));
     }
 
     Runtime rt(builder.deviceImage(),

@@ -3,14 +3,17 @@
 # to the artifacts committed under tests/artifacts/. Any drift means
 # the multi-device topology layer leaked timing, stat-naming, or
 # routing changes into the single-device model it is required to
-# reproduce exactly.
+# reproduce exactly. The sharding ablation (shards 1..8) is held to
+# its committed CSVs the same way, pinning the multi-shard model.
 #
 # Invoked by ctest as:
-#   cmake -DFIG02=<path> -DFIG07=<path> -DARTIFACT_DIR=<dir>
-#         -DWORK_DIR=<dir> -P sharding_differential_check.cmake
+#   cmake -DFIG02=<path> -DFIG07=<path> -DABL_SHARDING=<path>
+#         -DARTIFACT_DIR=<dir> -DWORK_DIR=<dir>
+#         -P sharding_differential_check.cmake
 
-if(NOT FIG02 OR NOT FIG07)
-    message(FATAL_ERROR "pass -DFIG02=/-DFIG07=<paths to benches>")
+if(NOT FIG02 OR NOT FIG07 OR NOT ABL_SHARDING)
+    message(FATAL_ERROR
+        "pass -DFIG02=/-DFIG07=/-DABL_SHARDING=<paths to benches>")
 endif()
 if(NOT ARTIFACT_DIR)
     message(FATAL_ERROR "pass -DARTIFACT_DIR=<committed CSV dir>")
@@ -25,7 +28,7 @@ file(MAKE_DIRECTORY ${dir})
 
 # jobs=4 is safe: the sweep_determinism gate proves job count is
 # output-neutral.
-foreach(bench ${FIG02} ${FIG07})
+foreach(bench ${FIG02} ${FIG07} ${ABL_SHARDING})
     get_filename_component(name ${bench} NAME)
     execute_process(
         COMMAND ${bench} jobs=4 bench_json=
@@ -57,11 +60,11 @@ foreach(csv ${produced})
     if(NOT diff EQUAL 0)
         message(FATAL_ERROR
             "'${name}' differs from the committed artifact: the "
-            "shards=1 model no longer reproduces its pre-sharding "
-            "output byte-for-byte (fresh copy in ${dir}; if the "
-            "change is intentional, regenerate and commit the CSV)")
+            "model no longer reproduces its committed output "
+            "byte-for-byte (fresh copy in ${dir}; if the change is "
+            "intentional, regenerate and commit the CSV)")
     endif()
 endforeach()
 message(STATUS
-    "sharding differential check passed: shards=1 CSVs byte-identical "
-    "to committed artifacts")
+    "sharding differential check passed: CSVs byte-identical to "
+    "committed artifacts")
