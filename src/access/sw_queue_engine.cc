@@ -38,6 +38,8 @@ SwQueueEngine::SwQueueEngine(Scheduler &scheduler, EmulatedDevice &device,
     pairs.reserve(pairIndices.size());
     for (std::size_t idx : pairIndices)
         pairs.push_back(&device.queuePair(idx));
+    popsSeen.assign(pairs.size(), 0);
+    drainedAt.assign(pairs.size(), 0);
     if (controller != nullptr) {
         kmuAssert(controller->shards() == topoCfg.shards,
                   "controller built for %u shards, engine has %u",
@@ -249,9 +251,10 @@ SwQueueEngine::submitAndWait(const Addr *addrs, std::size_t n)
         io.attempts[i] = 0;
         io.failed[i] = false;
         io.issuedAt[i] = pollTick;
-        io.deadlineAt[i] = pollTick + backoff.deadlinePolls(1);
+        io.pushedAt[i] = 0;
         const std::uint32_t shard = routeForOrdered(io.line[i]);
         io.shard[i] = shard;
+        armWatchdog(io, i);
         RequestDescriptor desc = RequestDescriptor::read(
             io.line[i],
             topo::taggedShard(
@@ -270,6 +273,7 @@ SwQueueEngine::submitAndWait(const Addr *addrs, std::size_t n)
             stalledWait();
             sched.yield();
         }
+        io.pushedAt[i] = pairs[shard]->requestRing().totalPushes();
         bufStates.at(reinterpret_cast<Addr>(io.buffers[i]))
             .outstanding++;
         if (controller != nullptr)
@@ -420,15 +424,53 @@ SwQueueEngine::reissueRead(FiberIo &io, std::size_t slot)
             shard));
     // Push the deadline whether or not the submit lands: a full ring
     // resolves by draining, and the watchdog will come back.
-    io.deadlineAt[slot] =
-        pollTick + backoff.deadlinePolls(io.attempts[slot] + 1);
+    armWatchdog(io, slot);
     SwQueuePair &qp = *pairs[shard];
     RoleGuard host(qp.hostRole);
+    io.pushedAt[slot] = 0;
     if (qp.submit(desc)) {
+        io.pushedAt[slot] = qp.requestRing().totalPushes();
         bufStates.at(reinterpret_cast<Addr>(io.buffers[slot]))
             .outstanding++;
         forceDoorbell(shard);
     }
+}
+
+void
+SwQueueEngine::armWatchdog(FiberIo &io, std::size_t slot)
+{
+    io.deadlineAt[slot] =
+        pollTick + backoff.deadlinePolls(io.attempts[slot] + 1);
+    io.armedAt[slot] = pollTick;
+}
+
+void
+SwQueueEngine::observeDevice()
+{
+    const std::uint64_t passes = dev.servicePasses();
+    if (passes != passesSeen) {
+        passesSeen = passes;
+        deviceRanAt = pollTick;
+    }
+    for (std::size_t s = 0; s < pairs.size(); ++s) {
+        const std::uint64_t pops = pairs[s]->requestRing().totalPops();
+        if (pops != popsSeen[s]) {
+            popsSeen[s] = pops;
+            drainedAt[s] = pollTick;
+        }
+    }
+}
+
+bool
+SwQueueEngine::waitingItsTurn(const FiberIo &io, std::size_t slot) const
+{
+    const std::uint32_t s = io.shard[slot];
+    if (popsSeen[s] >= io.pushedAt[slot])
+        return false; // consumed (or never queued)
+    // Counter moves are noted at the scan after they happen, so one
+    // noted at a tick later than the arming tick happened after it.
+    return deviceRanAt <= io.armedAt[slot] ||
+           drainedAt[s] > io.armedAt[slot];
 }
 
 void
@@ -474,6 +516,7 @@ SwQueueEngine::reissueWrite(std::size_t slot)
 void
 SwQueueEngine::watchdogScan()
 {
+    observeDevice();
     // Deterministic order: fibers in first-use order, then staging
     // slots by index. Device writes are idempotent and reads are
     // generation-tagged, so re-issuing is always safe — the cost of
@@ -494,6 +537,17 @@ SwQueueEngine::watchdogScan()
                     if (controller != nullptr)
                         shardSignals[io.shard[slot]].retries++;
                     failRead(io, slot);
+                    continue;
+                }
+                // Host poll passes are no measure of device
+                // progress: a request still queued in its ring while
+                // the device thread has not run, or is still working
+                // through the requests ahead of it, is not lost. It
+                // does not age: re-arm its timer. A request stuck in
+                // a ring the device stopped draining (a hang, a lost
+                // doorbell) still times out and is re-issued.
+                if (waitingItsTurn(io, slot)) {
+                    armWatchdog(io, slot);
                     continue;
                 }
                 recoveryStats.timeouts++;

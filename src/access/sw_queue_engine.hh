@@ -140,6 +140,14 @@ class SwQueueEngine : public AccessEngine
         /** pollTick of first submit: the per-request deadline is
          *  measured from here, across re-issues. */
         std::uint64_t issuedAt[maxBatch] = {};
+        /** Request-ring push count (of ring `shard`) once the slot's
+         *  latest attempt was pushed; the device has consumed that
+         *  attempt when the ring's pop count reaches it. 0 when the
+         *  latest attempt never made it into a ring. */
+        std::uint64_t pushedAt[maxBatch] = {};
+        /** pollTick at which the slot's watchdog timer was last
+         *  armed. */
+        std::uint64_t armedAt[maxBatch] = {};
         /** Slot failed with DeadlineExceeded this batch. */
         bool failed[maxBatch] = {};
     };
@@ -223,6 +231,25 @@ class SwQueueEngine : public AccessEngine
     /** Watchdog: re-issue every pending op past its deadline. */
     void watchdogScan();
 
+    /** (Re)start @p slot's watchdog timer for its current attempt. */
+    void armWatchdog(FiberIo &io, std::size_t slot);
+
+    /**
+     * Note the pollTick at which the device's service-pass count and
+     * each request ring's pop count were last seen to move. Sampled
+     * once per watchdog scan, on the idle path, so submits never
+     * read the device's counters.
+     */
+    void observeDevice();
+
+    /**
+     * True while @p slot's latest attempt sits unconsumed in its
+     * request ring and the device has not stalled on that ring since
+     * the timer was armed: either the device has not run at all, or
+     * it is still draining requests queued ahead of this one.
+     */
+    bool waitingItsTurn(const FiberIo &io, std::size_t slot) const;
+
     /** Recovery doorbell on @p shard: ring even without a device
      *  request (the original doorbell may itself have been lost). */
     void forceDoorbell(std::uint32_t shard);
@@ -266,6 +293,14 @@ class SwQueueEngine : public AccessEngine
      *  shard s. Single-device engines hold one element. */
     std::vector<std::size_t> pairIndices;
     std::vector<SwQueuePair *> pairs;
+    /** @{ observeDevice() state: last seen service-pass count and the
+     *  pollTick it last moved; per shard, the request ring's last
+     *  seen pop count and the pollTick it last moved. */
+    std::uint64_t passesSeen = 0;
+    std::uint64_t deviceRanAt = 0;
+    std::vector<std::uint64_t> popsSeen;
+    std::vector<std::uint64_t> drainedAt;
+    /** @} */
     topo::TopologyConfig topoCfg;
     fault::DegradationGovernor *governor;
     fault::RetryBackoff backoff;

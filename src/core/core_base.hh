@@ -5,7 +5,7 @@
  * A core model is a state machine over the event queue: it "executes"
  * by charging time for each software action (work block, context
  * switch, queue management) and interacting with the memory system
- * through the issue hook the SimSystem wires up. One core model
+ * through the read path the SimSystem wires up. One core model
  * instance represents one physical core running the microbenchmark
  * loop with the configured mechanism.
  */
@@ -16,29 +16,36 @@
 #include <functional>
 
 #include "common/random.hh"
+#include "common/stats.hh"
 #include "core/system_config.hh"
 #include "mem/cache.hh"
 #include "mem/lfb.hh"
+#include "mem/read_record.hh"
 #include "sim/sim_object.hh"
 
 namespace kmu
 {
 
-class CoreBase : public SimObject
+class ReadPath;
+
+class CoreBase : public SimObject,
+                 public ReadSink,
+                 protected Lfb::Owner
 {
   public:
-    /**
-     * Issue one cache-line read beyond the LFB (chip queue, link,
-     * device or DRAM); the callback runs when the line is on-chip.
-     */
-    using IssueLine = std::function<void(Addr, std::function<void()>)>;
-
     /** Emit one posted line write toward the backing store. */
     using PostWrite = std::function<void(Addr)>;
 
+    /** @p reads takes the LFB misses (null: the core has none). */
     CoreBase(std::string name, EventQueue &queue, CoreId id,
-             const SystemConfig &cfg, IssueLine issue,
+             const SystemConfig &cfg, ReadPath *reads,
              StatGroup *stat_parent);
+
+    /**
+     * One of this core's reads is back on-chip: sample its latency,
+     * install the line and fill its LFB entry.
+     */
+    void accept(ReadRecord &r) override;
 
     /** Kick off execution at the current tick. */
     virtual void start() = 0;
@@ -46,11 +53,13 @@ class CoreBase : public SimObject
     /** Install the posted-write path (default: absorbed silently). */
     void setWriteHook(PostWrite hook) { postWrite = std::move(hook); }
 
-    /** Install the read-latency sampler (ns per completed read). */
+    /** Install the read-latency statistics (ns per completed read):
+     *  a mean and a log2-bucket histogram. */
     void
-    setLatencySampler(std::function<void(double)> sampler)
+    setLatencyStats(Average &mean, LogHistogram &log)
     {
-        sampleLatency = std::move(sampler);
+        latencyMean = &mean;
+        latencyLog = &log;
     }
 
     CoreId id() const { return coreId; }
@@ -74,6 +83,24 @@ class CoreBase : public SimObject
     L1Cache &l1() { return l1Cache; }
 
   protected:
+    /** Send the entry the LFB just allocated down the read path. */
+    void issueRead();
+
+    /** Record one completed read's latency, if stats are installed. */
+    void
+    sampleLatency(double ns)
+    {
+        if (latencyMean) {
+            latencyMean->sample(ns);
+            latencyLog->sample(ns);
+        }
+    }
+
+    /** @{ Lfb::Owner: cores without LFB traffic never see these. */
+    void lineFilled(const Lfb::Requester &who) override;
+    void entryFreed(const Lfb::Requester &who) override;
+    /** @} */
+
     /** Model the core being busy for @p delay, then continue. The
      *  continuation goes straight into the queue's lambda arena —
      *  templated so no std::function materialises on this hot path. */
@@ -159,9 +186,10 @@ class CoreBase : public SimObject
     const SystemConfig &cfg;
     /** Cached "<name>.step" — scheduling must not rebuild it. */
     const std::string stepName;
-    IssueLine issueLine;
+    ReadPath *readPath;
     PostWrite postWrite;
-    std::function<void(double)> sampleLatency;
+    Average *latencyMean = nullptr;
+    LogHistogram *latencyLog = nullptr;
     Lfb lineFillBuffers;
     L1Cache l1Cache;
 

@@ -4,9 +4,9 @@ namespace kmu
 {
 
 OnDemandCore::OnDemandCore(std::string name, EventQueue &queue, CoreId id,
-                           const SystemConfig &config, IssueLine issue,
+                           const SystemConfig &config, ReadPath *reads,
                            StatGroup *stat_parent)
-    : CoreBase(std::move(name), queue, id, config, std::move(issue),
+    : CoreBase(std::move(name), queue, id, config, reads,
                stat_parent)
 {
     kmuAssert(cfg.smtContexts >= 1, "need at least one SMT context");
@@ -68,8 +68,8 @@ OnDemandCore::admitLoop(std::uint32_t ctx_id)
 
     ctx.issuing = true;
     ctx.instrsInWindow += instrs;
-    ctx.window.push_back(IterRec{plan, ctx.nextIter, instrs, reads,
-                                 plan.batch - reads});
+    ctx.window.push(IterRec{plan, ctx.nextIter, instrs, reads,
+                            plan.batch - reads});
     issueSlot(ctx_id, ctx.nextIter, 0);
 }
 
@@ -109,15 +109,10 @@ OnDemandCore::issueSlot(std::uint32_t ctx_id, std::uint64_t iter,
         return;
     }
 
-    const auto result = lineFillBuffers.request(
-        line, [this, ctx_id, iter]() { onFill(ctx_id, iter); });
-
-    switch (result) {
+    const Lfb::Requester who{ctx_id, slot, iter};
+    switch (lineFillBuffers.request(line, who)) {
       case Lfb::AllocResult::NewEntry:
-        issueLine(line, [this, line]() {
-            l1Install(line);
-            lineFillBuffers.fill(line);
-        });
+        issueRead();
         issueSlot(ctx_id, iter, slot + 1);
         break;
       case Lfb::AllocResult::Merged:
@@ -126,18 +121,22 @@ OnDemandCore::issueSlot(std::uint32_t ctx_id, std::uint64_t iter,
         break;
       case Lfb::AllocResult::NoEntry:
         // Demand load: stall issue until an entry frees up.
-        lineFillBuffers.waitForFree(
-            [this, ctx_id, iter, slot]() {
-                issueSlot(ctx_id, iter, slot);
-            });
+        lineFillBuffers.waitForFree(who);
         break;
     }
 }
 
 void
-OnDemandCore::onFill(std::uint32_t ctx_id, std::uint64_t iter)
+OnDemandCore::entryFreed(const Lfb::Requester &who)
 {
-    Context &ctx = ctxs[ctx_id];
+    issueSlot(who.ctx, who.iter, who.slot);
+}
+
+void
+OnDemandCore::lineFilled(const Lfb::Requester &who)
+{
+    const std::uint64_t iter = who.iter;
+    Context &ctx = ctxs[who.ctx];
     kmuAssert(iter >= ctx.oldestIter &&
               iter - ctx.oldestIter < ctx.window.size(),
               "fill for an iteration outside the window");
@@ -179,8 +178,7 @@ OnDemandCore::tryWork()
     chargeAndThen(cfg.workTicks(front.plan) + extra, [this, picked]() {
         workBusy = false;
         Context &done_ctx = ctxs[picked];
-        const IterRec rec = done_ctx.window.front();
-        done_ctx.window.pop_front();
+        const IterRec rec = done_ctx.window.pop();
         done_ctx.oldestIter++;
         done_ctx.instrsInWindow -= rec.instrs;
         // Emit the iteration's posted writes alongside its work.

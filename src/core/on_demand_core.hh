@@ -31,9 +31,9 @@
 #ifndef KMU_CORE_ON_DEMAND_CORE_HH
 #define KMU_CORE_ON_DEMAND_CORE_HH
 
-#include <deque>
 #include <vector>
 
+#include "common/fifo_ring.hh"
 #include "core/core_base.hh"
 
 namespace kmu
@@ -43,7 +43,7 @@ class OnDemandCore : public CoreBase
 {
   public:
     OnDemandCore(std::string name, EventQueue &queue, CoreId id,
-                 const SystemConfig &cfg, IssueLine issue,
+                 const SystemConfig &cfg, ReadPath *reads,
                  StatGroup *stat_parent);
 
     void start() override;
@@ -77,7 +77,7 @@ class OnDemandCore : public CoreBase
         std::uint64_t nextIter = 0;   //!< next iteration to admit
         std::uint64_t oldestIter = 0; //!< iteration at window head
         std::uint64_t instrsInWindow = 0;
-        std::deque<IterRec> window;
+        FifoRing<IterRec> window;
         bool issuing = false;         //!< issueSlot chain active
     };
 
@@ -89,7 +89,10 @@ class OnDemandCore : public CoreBase
                    std::uint32_t slot);
 
     /** A load of (ctx, iter) returned. */
-    void onFill(std::uint32_t ctx, std::uint64_t iter);
+    void lineFilled(const Lfb::Requester &who) override;
+
+    /** The LFB has room for the load parked at (ctx, iter, slot). */
+    void entryFreed(const Lfb::Requester &who) override;
 
     /** Start the next ready work block if the core is free. */
     void tryWork();

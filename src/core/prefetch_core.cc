@@ -4,9 +4,9 @@ namespace kmu
 {
 
 PrefetchCore::PrefetchCore(std::string name, EventQueue &queue, CoreId id,
-                           const SystemConfig &config, IssueLine issue,
+                           const SystemConfig &config, ReadPath *reads,
                            StatGroup *stat_parent)
-    : CoreBase(std::move(name), queue, id, config, std::move(issue),
+    : CoreBase(std::move(name), queue, id, config, reads,
                stat_parent),
       prefetchesIssued(stats(), "prefetches_issued",
                        "software prefetches that allocated an LFB "
@@ -208,27 +208,14 @@ PrefetchCore::allocatePrefetch(std::uint32_t thread_id,
 {
     UThread &t = threads[thread_id];
     const Addr line = lineAlign(addrFor(thread_id, t.iter, slot));
-    const auto result = lineFillBuffers.request(
-        line, [this, thread_id, slot]() {
-            UThread &tt = threads[thread_id];
-            tt.slots[slot] = SlotState::Filled;
-            if (thread_id == current && tt.waitingSlot == slot) {
-                tt.waitingSlot = noWait;
-                consumeLoads(slot);
-            }
-        });
-
-    switch (result) {
+    switch (lineFillBuffers.request(line, {thread_id, slot, 0})) {
       case Lfb::AllocResult::NewEntry:
         ++prefetchesIssued;
-        issueLine(line, [this, line]() {
-            l1Install(line);
-            lineFillBuffers.fill(line);
-        });
+        issueRead();
         break;
       case Lfb::AllocResult::Merged:
         // Another thread already has this line in flight (possible
-        // only with locality-bearing address plans): our callback is
+        // only with locality-bearing address plans): the thread is
         // attached to the existing entry.
         ++prefetchesMerged;
         break;
@@ -237,11 +224,26 @@ PrefetchCore::allocatePrefetch(std::uint32_t thread_id,
         // entry (FIFO) once one frees up. The thread's eventual
         // demand load simply finds the line still Pending.
         ++prefetchesQueued;
-        lineFillBuffers.waitForFree([this, thread_id, slot]() {
-            allocatePrefetch(thread_id, slot);
-        });
+        lineFillBuffers.waitForFree({thread_id, slot, 0});
         break;
     }
+}
+
+void
+PrefetchCore::lineFilled(const Lfb::Requester &who)
+{
+    UThread &t = threads[who.ctx];
+    t.slots[who.slot] = SlotState::Filled;
+    if (who.ctx == current && t.waitingSlot == who.slot) {
+        t.waitingSlot = noWait;
+        consumeLoads(who.slot);
+    }
+}
+
+void
+PrefetchCore::entryFreed(const Lfb::Requester &who)
+{
+    allocatePrefetch(who.ctx, who.slot);
 }
 
 void

@@ -35,7 +35,7 @@ class PrefetchCore : public CoreBase
 {
   public:
     PrefetchCore(std::string name, EventQueue &queue, CoreId id,
-                 const SystemConfig &cfg, IssueLine issue,
+                 const SystemConfig &cfg, ReadPath *reads,
                  StatGroup *stat_parent);
 
     void start() override;
@@ -98,6 +98,12 @@ class PrefetchCore : public CoreBase
     /** Allocate an LFB entry for (thread, slot), waiting FIFO in the
      *  load buffers if the LFB is currently full. */
     void allocatePrefetch(std::uint32_t thread_id, std::uint32_t slot);
+
+    /** The prefetch of (thread, slot) filled. */
+    void lineFilled(const Lfb::Requester &who) override;
+
+    /** The LFB has room for the prefetch queued at (thread, slot). */
+    void entryFreed(const Lfb::Requester &who) override;
 
     /** Context switch to the next thread (round robin), after
      *  charging for the @p issued prefetch instructions. */

@@ -151,10 +151,23 @@ SimSystem::buildMemoryMapped()
     const bool membus =
         to_device && cfg.attach == DeviceAttach::MemoryBus;
     const std::uint32_t shards = cfg.topo.shards;
-    if (to_device && !membus) {
+    if (membus) {
+        // Memory-bus attach: the device answers like a slow DIMM
+        // behind the chip's deep DRAM-path queue; the configured
+        // latency already covers the on-bus round trip. The memory
+        // interconnect has no per-slot links to multiply, so the
+        // attach stays single-shard.
+        kmuAssert(shards == 1,
+                  "memory-bus attach models a single device");
+        chipQueues.push_back(std::make_unique<UncoreQueue>(
+            "chip_membus_queue", eq, cfg.chipDramQueue, &root));
+        readPath = std::make_unique<ReadPath>(*chipQueues[0],
+                                              cfg.device.latency);
+    } else if (to_device) {
         // One link + chip queue + device emulator per shard, built
         // in the single-device order so a shards=1 system registers
         // the exact pre-sharding stat tree.
+        std::vector<DeviceEmulator *> shard_devices;
         for (std::uint32_t s = 0; s < shards; ++s) {
             links.push_back(std::make_unique<PcieLink>(
                 topo::shardName("pcie", s, shards), eq, cfg.pcie,
@@ -168,83 +181,23 @@ SimSystem::buildMemoryMapped()
             devices.push_back(std::make_unique<DeviceEmulator>(
                 topo::shardName("device", s, shards), eq, cfg.device,
                 *links.back(), cfg.numCores, &root));
+            devices.back()->setHostQueue(*chipQueues.back());
+            shard_devices.push_back(devices.back().get());
         }
-    }
-    if (membus) {
-        // Memory-bus attach: the device answers like a slow DIMM
-        // behind the chip's deep DRAM-path queue; the configured
-        // latency already covers the on-bus round trip. The memory
-        // interconnect has no per-slot links to multiply, so the
-        // attach stays single-shard.
-        kmuAssert(shards == 1,
-                  "memory-bus attach models a single device");
-        chipQueues.push_back(std::make_unique<UncoreQueue>(
-            "chip_membus_queue", eq, cfg.chipDramQueue, &root));
+        readPath = std::make_unique<ReadPath>(
+            std::move(shard_devices), cfg.topo, healthCtrl.get());
+    } else {
+        readPath = std::make_unique<ReadPath>(*dram);
     }
 
     for (CoreId c = 0; c < cfg.numCores; ++c) {
-        CoreBase::IssueLine issue;
-        if (membus) {
-            issue = [this](Addr line, std::function<void()> fill) {
-                (void)line;
-                const Tick issued = eq.curTick();
-                chipQueues[0]->acquire(
-                    [this, issued, fill = std::move(fill)]() mutable {
-                    eq.scheduleLambda(
-                        eq.curTick() + cfg.device.latency,
-                        [this, issued, fill = std::move(fill)]() {
-                            chipQueues[0]->release();
-                            sampleReadLatency(
-                                ticksToNs(eq.curTick() - issued));
-                            fill();
-                        },
-                        EventPriority::DeviceResponse,
-                        "membus.fill");
-                });
-            };
-        } else if (to_device) {
-            issue = [this, c](Addr line, std::function<void()> fill) {
-                const Tick issued = eq.curTick();
-                const std::uint32_t natural =
-                    topo::shardOf(line, cfg.topo);
-                const std::uint32_t s =
-                    healthCtrl ? healthCtrl->route(
-                                     natural, line / cacheLineSize)
-                               : natural;
-                chipQueues[s]->acquire(
-                    [this, c, s, line, issued,
-                     fill = std::move(fill)]() mutable {
-                        devices[s]->hostRead(
-                            c, line,
-                            [this, s, issued,
-                             fill = std::move(fill)]() {
-                                chipQueues[s]->release();
-                                sampleReadLatency(
-                                    ticksToNs(eq.curTick() - issued));
-                                fill();
-                            });
-                    });
-            };
-        } else {
-            issue = [this](Addr line, std::function<void()> fill) {
-                const Tick issued = eq.curTick();
-                dram->access(
-                    line,
-                    [this, issued, fill = std::move(fill)]() {
-                        sampleReadLatency(
-                            ticksToNs(eq.curTick() - issued));
-                        fill();
-                    });
-            };
-        }
-
         const std::string name = csprintf("core%u", c);
         if (cfg.mechanism == Mechanism::OnDemand) {
             cores.push_back(std::make_unique<OnDemandCore>(
-                name, eq, c, cfg, std::move(issue), &root));
+                name, eq, c, cfg, readPath.get(), &root));
         } else {
             cores.push_back(std::make_unique<PrefetchCore>(
-                name, eq, c, cfg, std::move(issue), &root));
+                name, eq, c, cfg, readPath.get(), &root));
         }
 
         if (to_device && !membus) {
@@ -447,13 +400,6 @@ SimSystem::healthEpoch()
 }
 
 void
-SimSystem::sampleReadLatency(double ns)
-{
-    readLatency->sample(ns);
-    readLatencyLog->sample(ns);
-}
-
-void
 SimSystem::enableTracing(trace::TraceBuffer &buf, Tick samplePeriod)
 {
     kmuAssert(!ran, "enable tracing before run()");
@@ -600,8 +546,7 @@ SimSystem::run()
     if (serving)
         serving->start();
     for (auto &core : cores) {
-        core->setLatencySampler(
-            [this](double ns) { sampleReadLatency(ns); });
+        core->setLatencyStats(*readLatency, *readLatencyLog);
         core->start();
     }
 

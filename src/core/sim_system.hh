@@ -23,6 +23,7 @@
 
 #include "check/sim_checker.hh"
 #include "core/core_base.hh"
+#include "core/read_path.hh"
 #include "core/system_config.hh"
 #include "device/device_emulator.hh"
 #include "device/request_fetcher.hh"
@@ -232,6 +233,7 @@ class SimSystem
     /** Core-major: element core * shards + shard. */
     std::vector<std::unique_ptr<SwQueuePair>> queuePairs;
     std::vector<std::unique_ptr<RequestFetcher>> fetchers;
+    std::unique_ptr<ReadPath> readPath; //!< LFB misses -> backing
     std::vector<std::unique_ptr<CoreBase>> cores;
     std::unique_ptr<Average> readLatency; //!< ns, issue to fill
     std::unique_ptr<LogHistogram> readLatencyLog; //!< ns, log2 buckets
@@ -247,9 +249,6 @@ class SimSystem
      *  which keeps every closed-loop run byte-identical). */
     std::unique_ptr<serve::ServeDriver> serving;
     bool ran = false;
-
-    /** Record one issue-to-fill latency in both latency stats. */
-    void sampleReadLatency(double ns);
 };
 
 /** Build and run one system; convenience for benches and tests. */

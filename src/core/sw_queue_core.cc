@@ -12,7 +12,7 @@ SwQueueCore::SwQueueCore(std::string name, EventQueue &queue, CoreId id,
                          std::vector<RingDoorbell> rings,
                          StatGroup *stat_parent)
     : CoreBase(std::move(name), queue, id, config,
-               IssueLine{}, // software queues bypass the LFB path
+               nullptr, // software queues bypass the LFB path
                stat_parent),
       submits(stats(), "submits", "request descriptors enqueued"),
       doorbellsRung(stats(), "doorbells_rung",
@@ -209,9 +209,8 @@ SwQueueCore::pollLoop()
                 kmuAssert(t.pendingFills > 0, "unexpected completion");
                 auto sub = submitTicks.find(comp.hostAddr);
                 if (sub != submitTicks.end()) {
-                    if (sampleLatency)
-                        sampleLatency(
-                            ticksToNs(curTick() - sub->second));
+                    sampleLatency(
+                        ticksToNs(curTick() - sub->second));
                     submitTicks.erase(sub);
                 }
                 t.pendingFills--;

@@ -36,13 +36,27 @@ DeviceEmulator::setReplaySource(CoreId core,
 }
 
 void
-DeviceEmulator::hostRead(CoreId core, Addr addr, ResponseCallback cb)
+DeviceEmulator::setHostQueue(UncoreQueue &queue)
+{
+    hostQueue = &queue;
+    queue.setSink(*this);
+}
+
+void
+DeviceEmulator::hostRead(ReadRecord &r)
+{
+    if (hostQueue)
+        hostQueue->acquire(r);
+    else
+        accept(r);
+}
+
+void
+DeviceEmulator::accept(ReadRecord &r)
 {
     // Read-request TLP: header only (the request carries no payload).
     link.send(LinkDir::ToDevice, 0, 0,
-              [this, core, addr, cb = std::move(cb)]() mutable {
-                  deviceReceive(core, addr, std::move(cb));
-              });
+              [this, &r] { deviceReceive(r); });
 }
 
 void
@@ -53,19 +67,18 @@ DeviceEmulator::hostWrite(CoreId core, Addr addr)
     link.send(LinkDir::ToDevice, cacheLineSize, 0, [this, core]() {
         ++writesReceived;
         trace::instant(trace::Kind::DevWrite, writesReceived.value(),
-                       std::uint16_t(traceLaneBase + core));
+                       lane(core));
     });
 }
 
 void
-DeviceEmulator::deviceReceive(CoreId core, Addr addr, ResponseCallback cb)
+DeviceEmulator::deviceReceive(ReadRecord &r)
 {
-    kmuAssert(core < replayModules.size(),
-              "request from unknown core %u", core);
+    kmuAssert(r.core < replayModules.size(),
+              "request from unknown core %u", r.core);
     ++requests;
-    const std::uint64_t span = requests.value();
-    const std::uint16_t lane = std::uint16_t(traceLaneBase + core);
-    trace::begin(trace::Kind::DevService, span, lane);
+    r.serviceSpan = requests.value();
+    trace::begin(trace::Kind::DevService, r.serviceSpan, lane(r.core));
 
     // Replay lookup; spurious requests pay the on-demand path.
     Tick service = cfg.holdTime();
@@ -89,39 +102,39 @@ DeviceEmulator::deviceReceive(CoreId core, Addr addr, ResponseCallback cb)
         if (factor > 1)
             service += (factor - 1) * cfg.holdTime();
     }
-    ReplayWindow *replay = replayModules[core].get();
-    if (replay) {
-        if (replay->lookup(lineAlign(addr)) == ReplayWindow::Result::Miss) {
-            ++replayMisses;
-            trace::instant(trace::Kind::DevReplayMiss, span, lane);
-            service += cfg.onDemandLatency;
-        } else {
-            ++replayMatches;
-            trace::instant(trace::Kind::DevReplayMatch, span, lane);
-        }
+    ReplayWindow *replay = replayModules[r.core].get();
+    const bool miss = replay && replay->lookup(lineAlign(r.line)) ==
+                                    ReplayWindow::Result::Miss;
+    if (miss) {
+        ++replayMisses;
+        service += cfg.onDemandLatency;
     } else {
         ++replayMatches; // live mode: stream always pre-loaded
-        trace::instant(trace::Kind::DevReplayMatch, span, lane);
     }
+    trace::instant(miss ? trace::Kind::DevReplayMiss
+                        : trace::Kind::DevReplayMatch,
+                   r.serviceSpan, lane(r.core));
 
     // Delay module: the request was timestamped on arrival (curTick);
     // the response completion leaves after the residual hold time.
-    eventQueue().scheduleLambda(
-        curTick() + service,
-        [this, span, lane, cb = std::move(cb)]() mutable {
-            ++responsesSent;
-            trace::end(trace::Kind::DevService, span, lane);
-            if (trace::active()) {
-                cb = [span, lane, inner = std::move(cb)] {
-                    trace::instant(trace::Kind::Completion, span,
-                                   lane);
-                    inner();
-                };
-            }
-            link.send(LinkDir::ToHost, cacheLineSize, cacheLineSize,
-                      std::move(cb));
-        },
-        EventPriority::Default, delayName);
+    eventQueue().scheduleLambda(curTick() + service,
+                                [this, &r] { respond(r); },
+                                EventPriority::Default, delayName);
+}
+
+void
+DeviceEmulator::respond(ReadRecord &r)
+{
+    ++responsesSent;
+    trace::end(trace::Kind::DevService, r.serviceSpan, lane(r.core));
+    link.send(LinkDir::ToHost, cacheLineSize, cacheLineSize,
+              [this, &r] {
+                  trace::instant(trace::Kind::Completion, r.serviceSpan,
+                                 lane(r.core));
+                  if (hostQueue)
+                      hostQueue->release();
+                  r.fill->accept(r);
+              });
 }
 
 } // namespace kmu

@@ -15,29 +15,31 @@
  *  - the *delay module* timestamps each request on arrival and emits
  *    the response completion so it reaches the host at the
  *    configured device latency.
+ *
+ * Reads travel as in-flight read records (mem/read_record.hh): the
+ * record rides the request TLP, the delay module and the completion
+ * TLP, then goes to its fill target.
  */
 
 #ifndef KMU_DEVICE_DEVICE_EMULATOR_HH
 #define KMU_DEVICE_DEVICE_EMULATOR_HH
 
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "device/device_params.hh"
 #include "device/replay_window.hh"
 #include "mem/pcie_link.hh"
+#include "mem/read_record.hh"
+#include "mem/uncore_queue.hh"
 #include "sim/sim_object.hh"
 
 namespace kmu
 {
 
-class DeviceEmulator : public SimObject
+class DeviceEmulator : public SimObject, public ReadSink
 {
   public:
-    /** Runs at the host when the response completion TLP arrives. */
-    using ResponseCallback = std::function<void()>;
-
     DeviceEmulator(std::string name, EventQueue &queue, DeviceParams params,
                    PcieLink &link, std::uint32_t num_cores,
                    StatGroup *stat_parent);
@@ -53,12 +55,24 @@ class DeviceEmulator : public SimObject
     void setReplaySource(CoreId core, ReplayWindow::SequenceSource src);
 
     /**
-     * Host-side entry point of the memory-mapped path: transmits the
-     * read-request TLP, waits out the emulated device latency, and
-     * returns the cache-line completion; @p cb runs at the host when
-     * the data arrives on-chip.
+     * Put the chip-level queue in front of this device: every read
+     * holds one of its slots from injection until the completion is
+     * back on-chip. Makes this device the queue's sink. Without a
+     * host queue reads go straight onto the link.
      */
-    void hostRead(CoreId core, Addr addr, ResponseCallback cb);
+    void setHostQueue(UncoreQueue &queue);
+
+    /**
+     * Host-side entry point of the memory-mapped path for @p r (its
+     * `core` and `line`): takes a host-queue slot, transmits the
+     * read-request TLP, waits out the emulated device latency, and
+     * returns the cache-line completion; `r.fill` takes the record at
+     * the host when the data arrives on-chip.
+     */
+    void hostRead(ReadRecord &r);
+
+    /** Host-queue slot granted: the request TLP leaves for the device. */
+    void accept(ReadRecord &r) override;
 
     /**
      * Host-side entry point for a posted line write: a 64-byte
@@ -100,10 +114,21 @@ class DeviceEmulator : public SimObject
     const std::string delayName = name() + ".delay";
 
     /** Request dispatcher + replay + delay for one arrived TLP. */
-    void deviceReceive(CoreId core, Addr addr, ResponseCallback cb);
+    void deviceReceive(ReadRecord &r);
+
+    /** Delay module done: the completion TLP leaves for the host. */
+    void respond(ReadRecord &r);
+
+    /** Trace lane of @p core's service engine. */
+    std::uint16_t
+    lane(CoreId core) const
+    {
+        return std::uint16_t(traceLaneBase + core);
+    }
 
     DeviceParams cfg;
     PcieLink &link;
+    UncoreQueue *hostQueue = nullptr;
     std::vector<std::unique_ptr<ReplayWindow>> replayModules;
     std::uint16_t traceLaneBase = 0;
     std::uint32_t faultShard = 0;

@@ -109,7 +109,12 @@ bool
 EmulatedDevice::pump()
 {
     kmuAssert(cfg.manual, "pump() only drives manual-mode devices");
+    if (starvedPumps > 0) {
+        starvedPumps--;
+        return false;
+    }
     step++;
+    passes.fetch_add(1, std::memory_order_relaxed);
     bool busy = false;
     const auto now = Clock::now();
     for (auto &pair : pairs)
@@ -131,6 +136,7 @@ EmulatedDevice::serviceLoop()
             busy |= servicePair(*pair, now);
             draining |= !pair->inFlight.empty();
         }
+        passes.fetch_add(1, std::memory_order_relaxed);
 
         if (stopping && !draining)
             return;

@@ -117,6 +117,25 @@ class EmulatedDevice
      */
     bool pump();
 
+    /**
+     * Manual mode: the next @p pumps pump() calls do nothing, not
+     * even advance the step clock, like a device thread the OS has
+     * not scheduled for a while.
+     */
+    void starve(std::uint64_t pumps) { starvedPumps = pumps; }
+
+    /**
+     * Service passes run so far (pump() calls in manual mode, loop
+     * iterations of the device thread otherwise). A host that sees
+     * this unchanged knows the device has not run at all, as opposed
+     * to having run without answering.
+     */
+    std::uint64_t
+    servicePasses() const
+    {
+        return passes.load(std::memory_order_relaxed);
+    }
+
     /** @{ Aggregate statistics (valid while running or after stop). */
     std::uint64_t requestsServiced() const { return serviced.load(); }
     std::uint64_t replayMisses() const { return spurious.load(); }
@@ -179,7 +198,10 @@ class EmulatedDevice
         KMU_ATOMIC_ROLE(device_writes, observers_read){0};
     std::atomic<std::uint64_t> spurious
         KMU_ATOMIC_ROLE(device_writes, observers_read){0};
+    std::atomic<std::uint64_t> passes
+        KMU_ATOMIC_ROLE(device_writes, observers_read){0};
     std::uint64_t step = 0; //!< manual-mode virtual clock
+    std::uint64_t starvedPumps = 0; //!< manual mode: pumps to skip
 };
 
 } // namespace kmu

@@ -12,25 +12,30 @@ DramModel::DramModel(std::string name, EventQueue &queue, DramParams params,
       cfg(params),
       pathQueue(this->name() + ".queue", queue, params.queueDepth, &stats())
 {
+    pathQueue.setSink(*this);
 }
 
 void
-DramModel::access(Addr line, FillCallback cb)
+DramModel::access(ReadRecord &r)
 {
-    (void)line;
     ++reads;
-    const std::uint64_t span = reads.value();
-    trace::begin(trace::Kind::DramRead, span, traceTrack());
-    pathQueue.acquire([this, span, cb = std::move(cb)]() mutable {
-        eventQueue().scheduleLambda(
-            curTick() + cfg.latency,
-            [this, span, cb = std::move(cb)]() {
-                pathQueue.release();
-                trace::end(trace::Kind::DramRead, span, traceTrack());
-                cb();
-            },
-            EventPriority::DeviceResponse, fillName);
-    });
+    r.serviceSpan = reads.value();
+    trace::begin(trace::Kind::DramRead, r.serviceSpan, traceTrack());
+    pathQueue.acquire(r);
+}
+
+void
+DramModel::accept(ReadRecord &r)
+{
+    eventQueue().scheduleLambda(
+        curTick() + cfg.latency,
+        [this, &r] {
+            pathQueue.release();
+            trace::end(trace::Kind::DramRead, r.serviceSpan,
+                       traceTrack());
+            r.fill->accept(r);
+        },
+        EventPriority::DeviceResponse, fillName);
 }
 
 } // namespace kmu

@@ -16,8 +16,7 @@
 #ifndef KMU_MEM_DRAM_MODEL_HH
 #define KMU_MEM_DRAM_MODEL_HH
 
-#include <functional>
-
+#include "mem/read_record.hh"
 #include "mem/uncore_queue.hh"
 #include "sim/sim_object.hh"
 
@@ -31,22 +30,20 @@ struct DramParams
     std::uint32_t queueDepth = 48; //!< chip-level DRAM-path queue
 };
 
-class DramModel : public SimObject
+class DramModel : public SimObject, private ReadSink
 {
   public:
-    using FillCallback = std::function<void()>;
-
     DramModel(std::string name, EventQueue &queue, DramParams params,
               StatGroup *stat_parent);
 
     const DramParams &params() const { return cfg; }
 
     /**
-     * Read one cache line. @p cb runs when the data is on-chip.
-     * Queueing behind the 48-entry path is modelled; address is
-     * accepted for interface symmetry and stats only.
+     * Read one cache line for @p r; `r.fill` takes the record when
+     * the data is on-chip. Queueing behind the 48-entry path is
+     * modelled; the address does not affect timing.
      */
-    void access(Addr line, FillCallback cb);
+    void access(ReadRecord &r);
 
     /** Chip-level queue for the DRAM path (exposed for tests). */
     UncoreQueue &queue() { return pathQueue; }
@@ -54,6 +51,9 @@ class DramModel : public SimObject
     Counter reads;
 
   private:
+    /** Path-queue slot granted: the data returns after the latency. */
+    void accept(ReadRecord &r) override;
+
     /** Cached "<name>.fill": scheduled once per read. */
     const std::string fillName = name() + ".fill";
 

@@ -9,7 +9,7 @@ namespace kmu
 {
 
 Lfb::Lfb(std::string name, EventQueue &queue, std::uint32_t capacity,
-         StatGroup *stat_parent)
+         Owner &lfb_owner, StatGroup *stat_parent)
     : SimObject(std::move(name), queue, stat_parent),
       allocs(stats(), "allocs", "LFB entries allocated"),
       merges(stats(), "merges", "requests merged into pending entries"),
@@ -17,23 +17,52 @@ Lfb::Lfb(std::string name, EventQueue &queue, std::uint32_t capacity,
       fills(stats(), "fills", "entries filled and freed"),
       occupancyAtAlloc(stats(), "occupancy_at_alloc",
                        "entries in use when a new entry was allocated"),
-      cap(capacity)
+      owner(lfb_owner), cap(capacity), slots(capacity)
 {
     kmuAssert(capacity > 0, "LFB capacity must be positive");
+}
+
+std::uint32_t
+Lfb::find(Addr line) const
+{
+    for (std::uint32_t i = 0; i < cap; ++i) {
+        if (slots[i].live && slots[i].read.line == line)
+            return i;
+    }
+    return none;
 }
 
 bool
 Lfb::pending(Addr line) const
 {
-    return entries.find(line) != entries.end();
+    return find(line) != none;
+}
+
+void
+Lfb::attach(Slot &slot, const Requester &who)
+{
+    std::uint32_t n = freeNode;
+    if (n != none) {
+        freeNode = nodes[n].next;
+        nodes[n] = WaiterNode{who, none};
+    } else {
+        n = std::uint32_t(nodes.size());
+        nodes.push_back(WaiterNode{who, none});
+    }
+    if (slot.lastWaiter == none)
+        slot.firstWaiter = n;
+    else
+        nodes[slot.lastWaiter].next = n;
+    slot.lastWaiter = n;
+    slot.waiters++;
 }
 
 Lfb::AllocResult
-Lfb::request(Addr line, FillCallback cb)
+Lfb::request(Addr line, const Requester &who)
 {
-    auto it = entries.find(line);
-    if (it != entries.end()) {
-        it->second.waiters.push_back(std::move(cb));
+    const std::uint32_t hit = find(line);
+    if (hit != none) {
+        attach(slots[hit], who);
         ++merges;
         trace::instant(trace::Kind::LfbMerge, line, traceTrack());
         return AllocResult::Merged;
@@ -57,9 +86,16 @@ Lfb::request(Addr line, FillCallback cb)
     occupancyAtAlloc.sample(double(inUse()));
     trace::begin(trace::Kind::LfbResident, line, traceTrack(),
                  inUse());
-    Entry entry;
-    entry.waiters.push_back(std::move(cb));
-    entries.emplace(line, std::move(entry));
+    std::uint32_t free = 0;
+    while (slots[free].live)
+        ++free;
+    Slot &slot = slots[free];
+    slot.live = true;
+    slot.read = ReadRecord{};
+    slot.read.line = line;
+    attach(slot, who);
+    lastAlloc = free;
+    ++live;
     ++allocs;
     KMU_INVARIANT(inUse() <= cap,
                   "LFB occupancy %u exceeds capacity %u", inUse(), cap);
@@ -73,17 +109,17 @@ Lfb::request(Addr line, FillCallback cb)
 }
 
 void
-Lfb::waitForFree(FreeCallback cb)
+Lfb::waitForFree(const Requester &who)
 {
     if (!full()) {
-        // An entry is already free; run the callback this tick but
+        // An entry is already free; wake the requester this tick but
         // off the current call stack for re-entrancy safety.
-        eventQueue().scheduleLambda(curTick(), std::move(cb),
-                                    EventPriority::Default,
-                                    freeNowName);
+        eventQueue().scheduleLambda(
+            curTick(), [this, who] { owner.entryFreed(who); },
+            EventPriority::Default, freeNowName);
         return;
     }
-    freeWaiters.push_back(std::move(cb));
+    freeWaiters.push(who);
 }
 
 void
@@ -103,27 +139,33 @@ Lfb::fill(Addr line)
         return;
     }
 
-    auto it = entries.find(line);
-    KMU_INVARIANT(it != entries.end(),
-                  "fill for line %#llx with no LFB entry",
+    const std::uint32_t idx = find(line);
+    KMU_INVARIANT(idx != none, "fill for line %#llx with no LFB entry",
                   (unsigned long long)line);
 
-    // Detach before invoking callbacks: a waiter may re-request.
-    auto waiters = std::move(it->second.waiters);
-    entries.erase(it);
+    // Free the slot before waking anyone: a requester may re-request
+    // and reuse it. The detached list is walked with each node read
+    // before it is recycled, so re-requests cannot disturb the walk.
+    Slot &slot = slots[idx];
+    std::uint32_t n = slot.firstWaiter;
+    const std::uint32_t woken = slot.waiters;
+    slot = Slot{};
+    --live;
     ++fills;
-    trace::end(trace::Kind::LfbResident, line, traceTrack(),
-               std::uint32_t(waiters.size()));
+    trace::end(trace::Kind::LfbResident, line, traceTrack(), woken);
 
-    for (auto &cb : waiters)
-        cb();
+    while (n != none) {
+        const Requester who = nodes[n].who;
+        const std::uint32_t next = nodes[n].next;
+        nodes[n].next = freeNode;
+        freeNode = n;
+        n = next;
+        owner.lineFilled(who);
+    }
 
     // One freed entry admits one waiting demand miss.
-    if (!freeWaiters.empty() && !full()) {
-        auto cb = std::move(freeWaiters.front());
-        freeWaiters.pop_front();
-        cb();
-    }
+    if (!freeWaiters.empty() && !full())
+        owner.entryFreed(freeWaiters.pop());
     KMU_MODEL_CHECK(allocs.value() - fills.value() == inUse(),
                     "LFB in-flight count %u != allocated %llu - "
                     "filled %llu", inUse(),

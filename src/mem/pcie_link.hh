@@ -19,9 +19,10 @@
 #ifndef KMU_MEM_PCIE_LINK_HH
 #define KMU_MEM_PCIE_LINK_HH
 
-#include <functional>
+#include <utility>
 
 #include "sim/sim_object.hh"
+#include "trace/trace.hh"
 
 namespace kmu
 {
@@ -44,8 +45,6 @@ struct PcieLinkParams
 class PcieLink : public SimObject
 {
   public:
-    using DeliverCallback = std::function<void()>;
-
     PcieLink(std::string name, EventQueue &queue, PcieLinkParams params,
              StatGroup *stat_parent);
 
@@ -59,9 +58,30 @@ class PcieLink : public SimObject
      * @param useful_bytes  portion of the payload that is requested
      *                      application data (for utilization stats).
      * @param cb            runs when the TLP fully arrives.
+     *
+     * Templated so the callable goes straight into the event queue's
+     * inline store: a callable of up to 32 bytes (e.g. a component
+     * pointer plus a read-record reference) schedules without
+     * allocating.
      */
-    void send(LinkDir dir, std::uint32_t payload_bytes,
-              std::uint32_t useful_bytes, DeliverCallback cb);
+    template <typename F>
+    void
+    send(LinkDir dir, std::uint32_t payload_bytes,
+         std::uint32_t useful_bytes, F &&cb)
+    {
+        Tlp tlp = transmit(dir, payload_bytes, useful_bytes);
+        eventQueue().scheduleLambda(
+            tlp.deliverAt,
+            [cb = std::forward<F>(cb), span = tlp.span,
+             lane = tlp.lane]() mutable {
+                // The TLP's time on the link is a trace span: begun
+                // at send, ended here at delivery.
+                if (span != noSpan)
+                    trace::end(trace::Kind::PcieTlp, span, lane);
+                cb();
+            },
+            EventPriority::DeviceResponse, deliverName);
+    }
 
     /** Wire bytes transmitted so far in @p dir (headers included). */
     std::uint64_t wireBytes(LinkDir dir) const;
@@ -92,6 +112,22 @@ class PcieLink : public SimObject
     std::uint32_t faultShardId() const { return faultShard; }
 
   private:
+    /** Span id of a TLP sent while tracing was off. */
+    static constexpr std::uint64_t noSpan = ~0ull;
+
+    /** One transmitted TLP: when it arrives and its trace span. */
+    struct Tlp
+    {
+        Tick deliverAt;
+        std::uint64_t span;
+        std::uint16_t lane;
+    };
+
+    /** Serialize one TLP on @p dir's wire: account bytes, draw
+     *  faults, open its trace span. */
+    Tlp transmit(LinkDir dir, std::uint32_t payload_bytes,
+                 std::uint32_t useful_bytes);
+
     /** Cached "<name>.deliver": per-TLP scheduling must not
      *  rebuild the event name. */
     const std::string deliverName = name() + ".deliver";

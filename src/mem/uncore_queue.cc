@@ -21,7 +21,7 @@ UncoreQueue::UncoreQueue(std::string name, EventQueue &queue,
 }
 
 void
-UncoreQueue::grant(EnterCallback cb)
+UncoreQueue::grant(ReadRecord &r)
 {
     used++;
     KMU_INVARIANT(used <= cap,
@@ -41,16 +41,18 @@ UncoreQueue::grant(EnterCallback cb)
                     "released %llu", used,
                     (unsigned long long)entries.value(),
                     (unsigned long long)releasedCount);
-    // Run off the current stack so release() inside the callback
-    // cannot recurse into waiter admission mid-flight.
-    eventQueue().scheduleLambda(curTick(), std::move(cb),
-                                EventPriority::Default,
-                                enterName);
+    // Continue off the current stack so a release() in the next
+    // stage cannot recurse into waiter admission mid-flight.
+    eventQueue().scheduleLambda(curTick(),
+                                [this, &r] { sink->accept(r); },
+                                EventPriority::Default, enterName);
 }
 
 void
-UncoreQueue::acquire(EnterCallback cb)
+UncoreQueue::acquire(ReadRecord &r)
 {
+    kmuAssert(sink, "%s has no sink for granted requests",
+              name().c_str());
     // Injected faults retry the acquire later instead of parking on
     // the waiter list: the waiter list is only drained by release(),
     // so a fault-queued waiter could strand (or trip the lost-wakeup
@@ -63,20 +65,18 @@ UncoreQueue::acquire(EnterCallback cb)
         eventQueue().scheduleLambda(
             curTick() + fault::draw(fault::FaultSite::UncoreEntryStall,
                                     stall),
-            [this, cb = std::move(cb)]() mutable {
-                acquire(std::move(cb));
-            },
+            [this, &r] { acquire(r); },
             EventPriority::Default, faultRetryName);
         return;
     }
     if (!full()) {
-        grant(std::move(cb));
+        grant(r);
         return;
     }
     ++fullStalls;
     trace::instant(trace::Kind::UncoreStall, fullStalls.value(),
                    traceTrack(), used);
-    waiters.push_back(std::move(cb));
+    waiters.push(&r);
 }
 
 void
@@ -87,11 +87,8 @@ UncoreQueue::release()
     releasedCount++;
     // After a capacity shrink the queue can sit over-committed; a
     // release then only drains occupancy and must not admit anyone.
-    if (!waiters.empty() && !full()) {
-        auto cb = std::move(waiters.front());
-        waiters.pop_front();
-        grant(std::move(cb));
-    }
+    if (!waiters.empty() && !full())
+        grant(*waiters.pop());
     // Nobody may wait while a slot is free (would be a lost wakeup).
     KMU_MODEL_CHECK(waiters.empty() || full(),
                     "%zu waiters stalled on a non-full uncore queue "
@@ -104,11 +101,8 @@ UncoreQueue::setCapacity(std::uint32_t capacity)
     kmuAssert(capacity > 0, "uncore queue capacity must be positive");
     cap = capacity;
     // Growth may have opened headroom for parked waiters.
-    while (!waiters.empty() && !full()) {
-        auto cb = std::move(waiters.front());
-        waiters.pop_front();
-        grant(std::move(cb));
-    }
+    while (!waiters.empty() && !full())
+        grant(*waiters.pop());
 }
 
 } // namespace kmu

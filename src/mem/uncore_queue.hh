@@ -10,15 +10,16 @@
  * (at least 48 entries were observed outstanding).
  *
  * A slot is held from injection until the response returns on-chip.
- * Requests that find the queue full wait in FIFO order.
+ * Requests that find the queue full wait in FIFO order. Requests are
+ * in-flight read records; a granted record is handed to the queue's
+ * sink, the next stage of the read path.
  */
 
 #ifndef KMU_MEM_UNCORE_QUEUE_HH
 #define KMU_MEM_UNCORE_QUEUE_HH
 
-#include <deque>
-#include <functional>
-
+#include "common/fifo_ring.hh"
+#include "mem/read_record.hh"
 #include "sim/sim_object.hh"
 
 namespace kmu
@@ -27,9 +28,6 @@ namespace kmu
 class UncoreQueue : public SimObject
 {
   public:
-    /** Invoked once the request holds a slot and may proceed. */
-    using EnterCallback = std::function<void()>;
-
     UncoreQueue(std::string name, EventQueue &queue, std::uint32_t capacity,
                 StatGroup *stat_parent);
 
@@ -38,12 +36,15 @@ class UncoreQueue : public SimObject
     bool full() const { return used >= cap; }
     std::size_t waiting() const { return waiters.size(); }
 
+    /** Where granted records go (must be set before acquire()). */
+    void setSink(ReadSink &next) { sink = &next; }
+
     /**
-     * Acquire a slot. If one is free the callback runs immediately
-     * (same tick, off-stack); otherwise it queues FIFO behind other
-     * waiters and runs when a slot is released.
+     * Acquire a slot for @p r. If one is free the sink takes @p r
+     * this tick, off-stack; otherwise @p r queues FIFO behind other
+     * waiters and moves on when a slot is released.
      */
-    void acquire(EnterCallback cb);
+    void acquire(ReadRecord &r);
 
     /** Release a slot (response left the queue); admits one waiter. */
     void release();
@@ -81,14 +82,15 @@ class UncoreQueue : public SimObject
     const std::string enterName = name() + ".enter";
     const std::string faultRetryName = name() + ".faultRetry";
 
-    void grant(EnterCallback cb);
+    void grant(ReadRecord &r);
 
+    ReadSink *sink = nullptr;
     std::uint32_t cap;
     std::uint32_t faultShard = 0;
     std::uint32_t used = 0;
     std::uint32_t peak = 0;
     std::uint64_t releasedCount = 0;
-    std::deque<EnterCallback> waiters;
+    FifoRing<ReadRecord *> waiters;
 };
 
 } // namespace kmu

@@ -70,6 +70,33 @@ TEST(RecoveryTest, WatchdogReissuesLostCompletions)
     EXPECT_EQ(rt.engine().accesses(), 2048u);
 }
 
+TEST(RecoveryTest, StarvedDeviceDoesNotAgeQueuedReads)
+{
+    // The device does not run for 2^15 host poll passes, far longer
+    // than all 16 retry deadlines of a read together: a device thread
+    // the OS has starved. The requests wait unconsumed in their
+    // rings, which is no evidence of loss, so nothing times out.
+    Runtime rt(patternImage(imageBytes),
+               {.mechanism = Mechanism::SwQueue,
+                .deterministicDevice = true});
+    rt.emulatedDevice()->starve(std::uint64_t(1) << 15);
+    std::uint64_t bad = 0;
+    for (int w = 0; w < 16; ++w) {
+        rt.spawnWorker([&bad, w](AccessEngine &dev) {
+            for (int i = 0; i < 64; ++i) {
+                const Addr a = Addr(w * 64 + i) * 64;
+                if (dev.read64(a) != mix64(a))
+                    ++bad;
+            }
+        });
+    }
+    rt.run();
+    EXPECT_EQ(bad, 0u);
+    EXPECT_EQ(rt.engine().accesses(), 16u * 64);
+    EXPECT_EQ(rt.engine().recovery().timeouts, 0u);
+    EXPECT_EQ(rt.engine().recovery().retries, 0u);
+}
+
 TEST(RecoveryTest, CrcDetectsCorruptedPayloads)
 {
     Runtime rt(patternImage(imageBytes),

@@ -17,6 +17,7 @@
 #include "mem/pcie_link.hh"
 #include "mem/uncore_queue.hh"
 #include "queue/spsc_ring.hh"
+#include "tests/mem/read_test_util.hh"
 
 namespace kmu
 {
@@ -84,7 +85,8 @@ TEST(BrokenModelTest, LfbFillWithoutEntry)
 {
     EventQueue eq;
     StatGroup root("root");
-    Lfb lfb("lfb", eq, 4, &root);
+    test::RecordingOwner owner;
+    Lfb lfb("lfb", eq, 4, owner, &root);
     check::ViolationTrap trap;
     EXPECT_THROW(lfb.fill(0x1000), check::ViolationError);
     EXPECT_NE(trap.lastMessage().find("no LFB entry"),

@@ -9,6 +9,7 @@
 
 #include "common/units.hh"
 #include "mem/dram_model.hh"
+#include "tests/mem/read_test_util.hh"
 
 namespace kmu
 {
@@ -23,8 +24,9 @@ TEST(DramModelTest, FixedLatency)
     p.latency = nanoseconds(60);
     DramModel dram("dram", eq, p, &root);
 
+    test::TestReads reads;
     Tick done = 0;
-    dram.access(0, [&]() { done = eq.curTick(); });
+    dram.access(reads.make(0, 0, [&]() { done = eq.curTick(); }));
     eq.run();
     EXPECT_EQ(done, nanoseconds(60));
     EXPECT_EQ(dram.reads.value(), 1u);
@@ -39,11 +41,12 @@ TEST(DramModelTest, DeepQueueAllowsManyOutstanding)
     p.queueDepth = 48;
     DramModel dram("dram", eq, p, &root);
 
+    test::TestReads reads;
     std::vector<Tick> arrivals;
     for (int i = 0; i < 48; ++i)
-        dram.access(Addr(i) * 64, [&]() {
+        dram.access(reads.make(0, Addr(i) * 64, [&]() {
             arrivals.push_back(eq.curTick());
-        });
+        }));
     eq.run();
     ASSERT_EQ(arrivals.size(), 48u);
     // All 48 fit the queue, so all complete at the same latency.
@@ -61,11 +64,12 @@ TEST(DramModelTest, QueueDepthLimitsParallelism)
     p.queueDepth = 2;
     DramModel dram("dram", eq, p, &root);
 
+    test::TestReads reads;
     std::vector<Tick> arrivals;
     for (int i = 0; i < 4; ++i)
-        dram.access(Addr(i) * 64, [&]() {
+        dram.access(reads.make(0, Addr(i) * 64, [&]() {
             arrivals.push_back(eq.curTick());
-        });
+        }));
     eq.run();
     ASSERT_EQ(arrivals.size(), 4u);
     EXPECT_EQ(arrivals[0], nanoseconds(60));
