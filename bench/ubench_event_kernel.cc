@@ -18,6 +18,11 @@
  * allocation idiom its call sites used. Every kernel services the
  * same deterministic event sequence; only wall time may differ.
  *
+ * The two kernels are measured in five alternating rounds (the
+ * first kernel flips every round), and the reported rates and ratio
+ * are per-round medians. A co-tenant burst on a
+ * shared host then skews one round, not the result.
+ *
  * With bench_json=FILE, appends a record with events/sec per kernel
  * and the new-vs-legacy ratio to the BENCH_sweep.json trajectory;
  * the perf-smoke ctest gate compares that ratio against the
@@ -237,11 +242,18 @@ class Driver
         }
     }
 
-    std::uint64_t
-    run(std::uint64_t target_events)
+    /** Seed every core's poll chain (once per driver). */
+    void
+    start()
     {
         for (unsigned c = 0; c < cores; ++c)
             schedulePoll(c, q.curTick() + pollPeriod);
+    }
+
+    /** Service up to @p target_events; returns how many ran. */
+    std::uint64_t
+    run(std::uint64_t target_events)
+    {
         std::uint64_t serviced = 0;
         while (serviced < target_events && q.serviceOne())
             ++serviced;
@@ -260,13 +272,28 @@ class Driver
     static constexpr Tick deviceLatency = 1000 * tickPerNs;
     static constexpr Tick guardTimeout = 100'000 * tickPerNs;
 
+    /**
+     * Schedule @p fn as core @p c's one-shot: the legacy idiom builds
+     * "<core><suffix>" per call, the modern one passes the cached
+     * @p cached (the kernel borrows it, so it must outlive the event).
+     */
+    template <typename F>
+    void
+    post(Tick when, F &&fn, EventPriority prio, unsigned c,
+         const char *suffix, const std::string &cached)
+    {
+        if constexpr (legacyNames)
+            q.scheduleLambda(when, std::forward<F>(fn), prio,
+                             coreName[c] + suffix);
+        else
+            q.scheduleLambda(when, std::forward<F>(fn), prio, cached);
+    }
+
     void
     schedulePoll(unsigned c, Tick when)
     {
-        q.scheduleLambda(
-            when, [this, c] { pollTick(c); },
-            EventPriority::CpuTick,
-            legacyNames ? coreName[c] + ".wake" : wakeName[c]);
+        post(when, [this, c] { pollTick(c); }, EventPriority::CpuTick,
+             c, ".wake", wakeName[c]);
     }
 
     void
@@ -286,21 +313,17 @@ class Driver
         // Watchdog churn: re-arming the guard deschedules the
         // previous instance, feeding the lazy-cancel path.
         q.reschedule(guards[c].get(), q.curTick() + guardTimeout);
-        q.scheduleLambda(
+        post(
             q.curTick() + deviceLatency,
             [this, c] {
                 --inFlight[c];
                 // Same-tick continuation, as the core's completion
                 // callback charges its work block.
-                q.scheduleLambda(
-                    q.curTick(), [this, c] { ++stepsDone[c]; },
-                    EventPriority::CpuTick,
-                    legacyNames ? coreName[c] + ".step"
-                                : stepName[c]);
+                post(q.curTick(), [this, c] { ++stepsDone[c]; },
+                     EventPriority::CpuTick, c, ".step", stepName[c]);
             },
-            EventPriority::DeviceResponse,
-            legacyNames ? coreName[c] + ".deliver"
-                        : deliverName[c]);
+            EventPriority::DeviceResponse, c, ".deliver",
+            deliverName[c]);
     }
 
     Queue &q;
@@ -325,17 +348,39 @@ struct Measurement
     }
 };
 
+/**
+ * One measurement on a fresh queue: @p warm events first, so slab and
+ * bucket allocation settle outside the timed window as they do in a
+ * real sweep, then @p target_events timed. One driver spans both, so
+ * no event outlives the driver it calls back into.
+ */
 template <typename Queue, bool legacyNames>
 Measurement
-measure(Queue &queue, std::uint64_t target_events)
+measure(std::uint64_t warm, std::uint64_t target_events)
 {
+    Queue queue;
     Driver<Queue, legacyNames> driver(queue);
+    driver.start();
+    driver.run(warm);
     const auto t0 = std::chrono::steady_clock::now();
     const std::uint64_t serviced = driver.run(target_events);
     const double secs =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - t0).count();
     return Measurement{serviced, secs};
+}
+
+/** Alternating measurement rounds per kernel. */
+constexpr std::uint64_t rounds = 5;
+
+/** Median of @p values (mean of the middle two for even counts). */
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    const std::size_t n = values.size();
+    return n % 2 == 1 ? values[n / 2]
+                      : (values[n / 2 - 1] + values[n / 2]) / 2.0;
 }
 
 } // anonymous namespace
@@ -367,45 +412,53 @@ main(int argc, char **argv)
         }
     }
 
-    // Warm each kernel briefly so slab/bucket allocation settles
-    // outside the measured window, as it does in a real sweep.
     const std::uint64_t warm = std::min<std::uint64_t>(events / 10,
                                                        50'000);
 
-    LegacyQueue legacy_warm;
-    measure<LegacyQueue, true>(legacy_warm, warm);
-    LegacyQueue legacy_q;
-    const Measurement legacy =
-        measure<LegacyQueue, true>(legacy_q, events);
+    // Alternate the kernels round by round, flipping which goes
+    // first, so slow host stretches hit both sides alike.
+    std::vector<double> legacy_rates, ladder_rates, ratios;
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+        Measurement legacy{}, ladder{};
+        if (r % 2 == 0) {
+            legacy = measure<LegacyQueue, true>(warm, events);
+            ladder = measure<EventQueue, false>(warm, events);
+        } else {
+            ladder = measure<EventQueue, false>(warm, events);
+            legacy = measure<LegacyQueue, true>(warm, events);
+        }
+        legacy_rates.push_back(legacy.eventsPerSec());
+        ladder_rates.push_back(ladder.eventsPerSec());
+        ratios.push_back(legacy.eventsPerSec() > 0.0
+                             ? ladder.eventsPerSec() /
+                                   legacy.eventsPerSec()
+                             : 0.0);
+    }
+    const double legacy_rate = median(legacy_rates);
+    const double ladder_rate = median(ladder_rates);
+    const double ratio = median(ratios);
 
-    EventQueue ladder_q;
-    measure<EventQueue, false>(ladder_q, warm);
-    const Measurement ladder =
-        measure<EventQueue, false>(ladder_q, events);
-
-    const double ratio =
-        legacy.eventsPerSec() > 0.0
-            ? ladder.eventsPerSec() / legacy.eventsPerSec()
-            : 0.0;
-
-    std::printf("event-kernel microbench (%llu events/kernel, "
-                "fig07-shaped pattern)\n",
-                (unsigned long long)events);
+    std::printf("event-kernel microbench (%llu events/kernel x %llu "
+                "alternating rounds, fig07-shaped pattern; medians)\n",
+                (unsigned long long)events, (unsigned long long)rounds);
     std::printf("  %-22s %12.3f Mevents/s\n", "legacy (pre-arena)",
-                legacy.eventsPerSec() / 1e6);
+                legacy_rate / 1e6);
     std::printf("  %-22s %12.3f Mevents/s\n", "ladder",
-                ladder.eventsPerSec() / 1e6);
-    std::printf("  ladder vs legacy: %.2fx\n", ratio);
+                ladder_rate / 1e6);
+    std::printf("  ladder vs legacy: %.2fx (rounds %.2fx .. %.2fx)\n",
+                ratio, *std::min_element(ratios.begin(), ratios.end()),
+                *std::max_element(ratios.begin(), ratios.end()));
 
     if (!bench_json.empty()) {
         const std::string record = csprintf(
             "{\"figure\": \"ubench_event_kernel\", "
             "\"events\": %llu, "
+            "\"rounds\": %llu, "
             "\"legacy_events_per_s\": %.6g, "
             "\"events_per_s\": %.6g, "
             "\"ratio_vs_legacy\": %.4g}",
-            (unsigned long long)events, legacy.eventsPerSec(),
-            ladder.eventsPerSec(), ratio);
+            (unsigned long long)events, (unsigned long long)rounds,
+            legacy_rate, ladder_rate, ratio);
         if (!sweep::appendBenchJson(bench_json, record)) {
             std::fprintf(stderr,
                          "ubench_event_kernel: cannot write %s\n",

@@ -58,9 +58,27 @@ void reportViolation(const char *expr, const char *file, int line,
 /** Total violations observed process-wide (trapped ones included). */
 std::uint64_t violationCount();
 
+namespace detail
+{
+/** The KMU_MODEL_CHECK switch. The model is single-threaded by
+ *  construction, so a plain global suffices; header-inline so the
+ *  macro's gate is one load at every call site (the build has no
+ *  LTO). */
+inline bool modelChecks = true;
+} // namespace detail
+
 /** Runtime switch for KMU_MODEL_CHECK (default on). */
-bool modelChecksEnabled();
-void setModelChecks(bool enabled);
+inline bool
+modelChecksEnabled()
+{
+    return detail::modelChecks;
+}
+
+inline void
+setModelChecks(bool enabled)
+{
+    detail::modelChecks = enabled;
+}
 
 /**
  * RAII scope that converts invariant violations into exceptions.

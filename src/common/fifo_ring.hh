@@ -3,13 +3,14 @@
  * Growable single-threaded FIFO of small trivially-copyable records.
  *
  * The timing model's per-access queues (requests parked on a full LFB
- * or chip queue, a core's window of in-flight iterations) hold one
- * small record per entry. A std::deque allocates and frees a chunk
- * every few hundred bytes of traffic as such a queue breathes; this
- * ring doubles its power-of-two buffer when full and never shrinks,
- * so once it has seen its peak depth a push/pop cycle allocates
- * nothing. Growth moves the elements: references into the ring do
- * not survive a push.
+ * or chip queue, a core's window of in-flight iterations, ready
+ * threads, serving requests) and the emulated device's in-flight list
+ * hold one small record per entry. A std::deque allocates and frees a
+ * chunk every few hundred bytes of traffic as such a queue breathes;
+ * this ring doubles its power-of-two buffer when full and never
+ * shrinks, so once it has seen its peak depth a push/pop cycle
+ * allocates nothing. Growth moves the elements: references into the
+ * ring do not survive a push.
  */
 
 #ifndef KMU_COMMON_FIFO_RING_HH
@@ -47,6 +48,10 @@ class FifoRing
     T &front() { return slots[head]; }
     T &back() { return (*this)[count - 1]; }
     T &operator[](std::size_t i)
+    {
+        return slots[(head + i) & (slots.size() - 1)];
+    }
+    const T &operator[](std::size_t i) const
     {
         return slots[(head + i) & (slots.size() - 1)];
     }

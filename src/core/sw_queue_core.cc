@@ -36,7 +36,7 @@ void
 SwQueueCore::start()
 {
     for (ThreadId tid = 0; tid < threads.size(); ++tid)
-        readyQueue.push_back(tid);
+        readyQueue.push(tid);
     coreLoop();
 }
 
@@ -44,8 +44,7 @@ void
 SwQueueCore::coreLoop()
 {
     if (!readyQueue.empty()) {
-        const ThreadId tid = readyQueue.front();
-        readyQueue.pop_front();
+        const ThreadId tid = readyQueue.pop();
         chargeAndThen(cfg.ctxSwitchCost,
                       [this, tid]() { visitThread(tid); });
         return;
@@ -128,7 +127,7 @@ SwQueueCore::submitPhase(ThreadId tid)
                 desc = RequestDescriptor::read(
                     line, topo::taggedShard(encodeTag(tid, slot),
                                             shard));
-                submitTicks[desc.hostAddr] = curTick();
+                t.submitted[slot] = {desc.hostAddr, true, curTick()};
                 reads++;
             }
             SwQueuePair &qp = *queues[shard];
@@ -143,7 +142,7 @@ SwQueueCore::submitPhase(ThreadId tid)
         if (reads == 0) {
             // All-write iteration: nothing to wait for; the thread
             // goes straight back on the ready queue.
-            readyQueue.push_back(tid);
+            readyQueue.push(tid);
         }
         // Staging the write payloads costs core time; doorbells add
         // the MMIO cost per shard whose flag protocol demands one.
@@ -207,16 +206,20 @@ SwQueueCore::pollLoop()
                           "completion for unknown thread %u", tid);
                 UThread &t = threads[tid];
                 kmuAssert(t.pendingFills > 0, "unexpected completion");
-                auto sub = submitTicks.find(comp.hostAddr);
-                if (sub != submitTicks.end()) {
-                    sampleLatency(
-                        ticksToNs(curTick() - sub->second));
-                    submitTicks.erase(sub);
+                // Only the first completion of a submitted read
+                // samples its latency.
+                const std::uint32_t slot = decodeSlot(comp.hostAddr);
+                kmuAssert(slot < t.submitted.size(),
+                          "completion for unknown slot %u", slot);
+                Submitted &sub = t.submitted[slot];
+                if (sub.live && sub.tag == comp.hostAddr) {
+                    sampleLatency(ticksToNs(curTick() - sub.at));
+                    sub.live = false;
                 }
                 t.pendingFills--;
                 accessesCompleted++;
                 if (t.pendingFills == 0)
-                    readyQueue.push_back(tid);
+                    readyQueue.push(tid);
             }
         }
 
@@ -244,7 +247,7 @@ SwQueueCore::pollLoop()
 void
 SwQueueCore::onRequestReady(ThreadId tid)
 {
-    readyQueue.push_back(tid);
+    readyQueue.push(tid);
     if (!idleWaiting)
         return; // the running scheduler will reach it
     idleWaiting = false;

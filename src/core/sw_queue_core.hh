@@ -19,10 +19,10 @@
 #ifndef KMU_CORE_SW_QUEUE_CORE_HH
 #define KMU_CORE_SW_QUEUE_CORE_HH
 
-#include <deque>
-#include <unordered_map>
+#include <array>
 #include <vector>
 
+#include "common/fifo_ring.hh"
 #include "core/core_base.hh"
 #include "queue/sw_queue_pair.hh"
 #include "topo/topology.hh"
@@ -86,6 +86,14 @@ class SwQueueCore : public CoreBase
                         cacheLineSize / 64);
     }
 
+    /** Decode the descriptor slot from a completion tag. */
+    static std::uint32_t
+    decodeSlot(Addr tag)
+    {
+        return std::uint32_t((topo::stripShard(tag) & ~Addr(1)) /
+                             cacheLineSize % 64);
+    }
+
     /** Write completions carry bit 0 (posted-write recycle only). */
     static bool
     isWriteTag(Addr tag)
@@ -106,8 +114,20 @@ class SwQueueCore : public CoreBase
     const std::string serveWakeName = name() + ".serve_wake";
     const std::string wakeName = name() + ".wake";
 
+    /** A read descriptor awaiting its completion. */
+    struct Submitted
+    {
+        Addr tag = 0;      //!< the descriptor's hostAddr
+        bool live = false; //!< cleared by the first completion
+        Tick at = 0;
+    };
+
     struct UThread
     {
+        /** The current iteration's reads, by descriptor slot: a
+         *  completion's tag names its (thread, slot), so no lookup
+         *  table is needed. */
+        std::array<Submitted, AccessEngine::maxBatch> submitted{};
         bool started = false;
         bool parkedAtSubmit = false; //!< serving: no request yet
         std::uint64_t iter = 0;
@@ -134,9 +154,8 @@ class SwQueueCore : public CoreBase
     std::vector<SwQueuePair *> queues;    //!< one per device shard
     std::vector<RingDoorbell> doorbells;  //!< one per device shard
     ShardRouter router;                   //!< optional reroute hook
-    std::unordered_map<Addr, Tick> submitTicks; //!< read tag -> tick
     std::vector<UThread> threads;
-    std::deque<ThreadId> readyQueue;
+    FifoRing<ThreadId> readyQueue;
     bool idleWaiting = false;
 };
 

@@ -175,8 +175,8 @@ EmulatedDevice::servicePair(Pair &pair, Clock::time_point now)
     }
 
     if (!pair.parked.load(std::memory_order_acquire)) {
-        std::vector<RequestDescriptor> burst;
-        burst.reserve(descriptorBurst);
+        std::vector<RequestDescriptor> &burst = pair.burst;
+        burst.clear();
         // Truncation fault: the burst DMA read is cut short. Unread
         // descriptors stay in the ring for the next pass.
         std::size_t slots = descriptorBurst;
@@ -244,22 +244,21 @@ EmulatedDevice::servicePair(Pair &pair, Clock::time_point now)
                     deadline += extra * cfg.latency;
                     ready += extra * cfg.manualLatencySteps;
                 }
-                pair.inFlight.push_back(Pending{desc, deadline, ready});
+                pair.inFlight.push(Pending{desc, deadline, ready});
             }
         }
     }
 
     // Delay stage: complete requests whose deadline has passed.
-    // Bursts are fetched in order, so the deque front is oldest —
+    // Bursts are fetched in order, so the ring's front is oldest —
     // which also gives same-queue read-after-write ordering.
     const auto isReady = [&](const Pending &p) {
         return cfg.manual ? p.readyStep <= step : p.deadline <= now;
     };
     while (!pair.inFlight.empty() && isReady(pair.inFlight.front())) {
-        const Pending &pending = pair.inFlight.front();
+        const Pending pending = pair.inFlight.pop();
         completeRequest(pair, pending.desc);
         serviced.fetch_add(1, std::memory_order_relaxed);
-        pair.inFlight.pop_front();
         busy = true;
     }
 

@@ -25,11 +25,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "common/fifo_ring.hh"
 #include "common/thread_annotations.hh"
 #include "device/replay_window.hh"
 #include "queue/sw_queue_pair.hh"
@@ -154,11 +154,18 @@ class EmulatedDevice
     struct Pair
     {
         Pair(std::size_t depth, std::uint16_t lane)
-            : queues(depth), traceLane(lane) {}
+            : queues(depth), traceLane(lane)
+        {
+            burst.reserve(descriptorBurst);
+        }
 
         SwQueuePair queues;
         std::uint16_t traceLane; //!< trace track (= pair index)
-        std::deque<Pending> inFlight;
+        /** Fetched, not yet completed; front is the oldest. */
+        FifoRing<Pending> inFlight;
+        /** One service pass's descriptor burst, reused so a pass
+         *  allocates nothing. */
+        std::vector<RequestDescriptor> burst;
         std::atomic<bool> parked
             KMU_ATOMIC_ROLE(host_clears, device_sets, device_reads){true};
         std::unique_ptr<ReplayWindow> replayCheck;

@@ -1,5 +1,6 @@
 #include "device/request_fetcher.hh"
 
+#include "check/invariant.hh"
 #include "common/thread_annotations.hh"
 #include "fault/fault_plan.hh"
 #include "trace/trace.hh"
@@ -33,6 +34,7 @@ RequestFetcher::RequestFetcher(std::string name, EventQueue &queue,
       core(core_id), cfg(params), queues(qp), link(pcie),
       hostMemLatency(host_mem_latency), notify(std::move(notify_cb))
 {
+    burstBuf.reserve(cfg.burstSize);
 }
 
 void
@@ -75,6 +77,12 @@ RequestFetcher::issueBurst()
             EventPriority::Default, hangName);
         return;
     }
+    // One burst at a time: the fetcher loops fetch -> process ->
+    // fetch, and a doorbell only restarts a parked fetcher.
+    KMU_INVARIANT(!burstInFlight,
+                  "%s issued a burst while one is in flight",
+                  name().c_str());
+    burstInFlight = true;
     ++burstReads;
     trace::begin(trace::Kind::DescBurst, burstReads.value(),
                  traceTrack());
@@ -84,8 +92,6 @@ RequestFetcher::issueBurst()
         eventQueue().scheduleLambda(
             curTick() + hostMemLatency,
             [this]() {
-                std::vector<RequestDescriptor> burst;
-                burst.reserve(cfg.burstSize);
                 // Truncation fault: the DMA burst is cut short after
                 // k < burstSize slots. Unread descriptors stay in the
                 // ring, so a later burst (or the park-path sweep)
@@ -97,26 +103,26 @@ RequestFetcher::issueBurst()
                         fault::FaultSite::DescFetchTruncation,
                         cfg.burstSize));
                 RoleGuard device(queues.deviceRole);
-                queues.fetchBurst(burst, slots);
+                burstBuf.clear();
+                queues.fetchBurst(burstBuf, slots);
                 // The device always over-reads a full burst worth of
                 // descriptor slots regardless of how many are new.
                 const std::uint32_t payload =
                     cfg.burstSize * sizeof(RequestDescriptor);
                 link.send(LinkDir::ToDevice, payload, 0,
-                          [this, burst = std::move(burst)]() mutable {
-                              processBurst(std::move(burst));
-                          });
+                          [this]() { processBurst(); });
             },
             EventPriority::Default, descReadName);
     });
 }
 
 void
-RequestFetcher::processBurst(std::vector<RequestDescriptor> burst)
+RequestFetcher::processBurst()
 {
+    burstInFlight = false;
     trace::end(trace::Kind::DescBurst, burstReads.value(),
-               traceTrack(), std::uint32_t(burst.size()));
-    if (burst.empty()) {
+               traceTrack(), std::uint32_t(burstBuf.size()));
+    if (burstBuf.empty()) {
         ++emptyBursts;
         if (!cfg.doorbellFlag) {
             // Ablation mode: no flag protocol; the host doorbells
@@ -132,10 +138,9 @@ RequestFetcher::processBurst(std::vector<RequestDescriptor> burst)
         link.send(LinkDir::ToHost, 8, 0, [this]() {
             RoleGuard device(queues.deviceRole);
             queues.requestDoorbell();
-            std::vector<RequestDescriptor> sweep;
-            sweep.reserve(cfg.burstSize);
-            queues.fetchBurst(sweep, cfg.burstSize);
-            if (sweep.empty()) {
+            burstBuf.clear();
+            queues.fetchBurst(burstBuf, cfg.burstSize);
+            if (burstBuf.empty()) {
                 // Doorbell-clear race closure: parking is only legal
                 // with the request flag published, otherwise a host
                 // submitter that observed the flag clear would skip
@@ -151,16 +156,16 @@ RequestFetcher::processBurst(std::vector<RequestDescriptor> burst)
                 return;
             }
             // Raced-in requests: service them and keep fetching.
-            descriptorsFetched += sweep.size();
-            for (const RequestDescriptor &desc : sweep)
+            descriptorsFetched += burstBuf.size();
+            for (const RequestDescriptor &desc : burstBuf)
                 serviceDescriptor(desc);
             issueBurst();
         });
         return;
     }
 
-    descriptorsFetched += burst.size();
-    for (const RequestDescriptor &desc : burst)
+    descriptorsFetched += burstBuf.size();
+    for (const RequestDescriptor &desc : burstBuf)
         serviceDescriptor(desc);
 
     // At least one new descriptor: keep fetching without a doorbell.

@@ -87,7 +87,7 @@ class RequestFetcher : public SimObject
     const std::string delayName = name() + ".delay";
 
     void issueBurst();
-    void processBurst(std::vector<RequestDescriptor> burst);
+    void processBurst();
     void serviceDescriptor(const RequestDescriptor &desc);
     void sendCompletion(const RequestDescriptor &desc);
 
@@ -100,6 +100,10 @@ class RequestFetcher : public SimObject
     std::unique_ptr<ReplayWindow> replay;
     std::uint32_t faultShard = 0;
     bool active = false;
+    /** The one descriptor burst in flight (or the park sweep's
+     *  catch), reused so a burst allocates nothing. */
+    std::vector<RequestDescriptor> burstBuf;
+    bool burstInFlight = false;
 };
 
 } // namespace kmu

@@ -208,16 +208,32 @@ class FaultPlan
     std::array<SiteState, numFaultSites> sites;
 };
 
+namespace detail
+{
+/** The active plan; read through plan(), set through install(). A
+ *  header-inline variable, so the per-encounter gate in fire() is one
+ *  load at every call site (the build has no LTO). */
+inline FaultPlan *activePlan = nullptr;
+} // namespace detail
+
 /**
  * Install @p plan as the process-wide active plan (nullptr to
  * disable). The caller keeps ownership and must keep the plan alive
  * while installed. Not thread-safe: install before starting the
  * device thread / fiber scheduler, uninstall after they stop.
  */
-void install(FaultPlan *plan);
+inline void
+install(FaultPlan *plan_to_install)
+{
+    detail::activePlan = plan_to_install;
+}
 
 /** The active plan, or nullptr when injection is off. */
-FaultPlan *plan();
+inline FaultPlan *
+plan()
+{
+    return detail::activePlan;
+}
 
 /** RAII installer for tests and tools. */
 class ScopedPlan

@@ -27,6 +27,19 @@ PcieLink::dirState(LinkDir dir) const
     return dir == LinkDir::ToDevice ? toDevice : toHost;
 }
 
+Tick
+PcieLink::serializationTicks(std::uint32_t wire_bytes)
+{
+    for (const SerialTicks &e : serialCache) {
+        if (e.wireBytes == wire_bytes)
+            return e.ticks;
+    }
+    SerialTicks &e = serialCache[serialVictim];
+    serialVictim = (serialVictim + 1) % serialCache.size();
+    e = {wire_bytes, transferTicks(wire_bytes, cfg.bytesPerSec)};
+    return e.ticks;
+}
+
 PcieLink::Tlp
 PcieLink::transmit(LinkDir dir, std::uint32_t payload_bytes,
                    std::uint32_t useful_bytes)
@@ -53,7 +66,8 @@ PcieLink::transmit(LinkDir dir, std::uint32_t payload_bytes,
 
     Tick start = std::max(curTick(), d.wireFreeAt);
     start = std::max(start, outageUntil);
-    Tick done = start + transferTicks(wire_bytes, cfg.bytesPerSec);
+    const Tick serialize = serializationTicks(wire_bytes);
+    Tick done = start + serialize;
     KMU_INVARIANT(done >= start,
                   "link transfer time went backwards (%llu < %llu)",
                   (unsigned long long)done, (unsigned long long)start);
@@ -70,14 +84,14 @@ PcieLink::transmit(LinkDir dir, std::uint32_t payload_bytes,
         fault::fire(fault::FaultSite::PcieTlpDrop, faultShard) ||
         fault::fire(fault::FaultSite::PcieTlpBitFlip, faultShard);
     if (retransmit) {
-        done += transferTicks(wire_bytes, cfg.bytesPerSec);
+        done += serialize;
         d.wire += wire_bytes;
         d.tlps += 1;
         deliver_extra += fault::magnitude(
             fault::FaultSite::PcieTlpDrop, cfg.propagation);
     }
     if (fault::fire(fault::FaultSite::PcieTlpDuplicate, faultShard)) {
-        done += transferTicks(wire_bytes, cfg.bytesPerSec);
+        done += serialize;
         d.wire += wire_bytes;
         d.tlps += 1;
     }

@@ -19,6 +19,7 @@
 #ifndef KMU_MEM_PCIE_LINK_HH
 #define KMU_MEM_PCIE_LINK_HH
 
+#include <array>
 #include <utility>
 
 #include "sim/sim_object.hh"
@@ -128,6 +129,17 @@ class PcieLink : public SimObject
     Tlp transmit(LinkDir dir, std::uint32_t payload_bytes,
                  std::uint32_t useful_bytes);
 
+    /** transferTicks(@p wire_bytes) at the link rate, memoized. */
+    Tick serializationTicks(std::uint32_t wire_bytes);
+
+    /** One memoized wire size. {0, 0} is a valid entry, since
+     *  transferTicks(0) is 0, so the zero-filled cache is sound. */
+    struct SerialTicks
+    {
+        std::uint32_t wireBytes = 0;
+        Tick ticks = 0;
+    };
+
     /** Cached "<name>.deliver": per-TLP scheduling must not
      *  rebuild the event name. */
     const std::string deliverName = name() + ".deliver";
@@ -146,6 +158,11 @@ class PcieLink : public SimObject
     const Direction &dirState(LinkDir dir) const;
 
     PcieLinkParams cfg;
+    /** A protocol sends a handful of distinct TLP sizes; caching
+     *  their serialization time saves a 128-bit divide per TLP.
+     *  Misses replace entries round-robin. */
+    std::array<SerialTicks, 8> serialCache{};
+    std::size_t serialVictim = 0;
     Direction toDevice;
     Direction toHost;
     std::uint32_t faultShard = 0;

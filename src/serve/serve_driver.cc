@@ -63,7 +63,7 @@ ServeDriver::scheduleNext()
 void
 ServeDriver::bindTo(Lane &lane, const Request &req)
 {
-    lane.bound.push_back(req);
+    lane.bound.push(req);
     lane.boundCount++;
 }
 
@@ -79,8 +79,7 @@ ServeDriver::onArrival()
     if (!waiters.empty()) {
         // Hand the request straight to the longest-parked lane; its
         // re-entered gate call finds the iteration already bound.
-        const std::uint32_t id = waiters.front();
-        waiters.pop_front();
+        const std::uint32_t id = waiters.pop();
         Lane &lane = lanes[id];
         lane.waiting = false;
         bindTo(lane, req);
@@ -89,7 +88,7 @@ ServeDriver::onArrival()
         kmuAssert(wake != nullptr, "parked lane lost its wake hook");
         wake();
     } else {
-        pendingRequests.push_back(req);
+        pendingRequests.push(req);
     }
     scheduleNext();
 }
@@ -105,8 +104,7 @@ ServeDriver::admit(std::uint32_t lane_id, std::uint64_t iter,
     kmuAssert(iter == lane.boundCount,
               "lanes must bind iterations in order");
     if (!pendingRequests.empty()) {
-        bindTo(lane, pendingRequests.front());
-        pendingRequests.pop_front();
+        bindTo(lane, pendingRequests.pop());
         return true;
     }
     // Park. Refresh the wake hook even when already queued so the
@@ -114,7 +112,7 @@ ServeDriver::admit(std::uint32_t lane_id, std::uint64_t iter,
     lane.wake = std::move(wake);
     if (!lane.waiting) {
         lane.waiting = true;
-        waiters.push_back(lane_id);
+        waiters.push(lane_id);
     }
     return false;
 }
@@ -139,8 +137,7 @@ ServeDriver::retire(std::uint32_t lane_id, std::uint64_t iter)
     Lane &lane = lanes[lane_id];
     kmuAssert(!lane.bound.empty() && iter == lane.retiredCount,
               "lanes must retire iterations in order");
-    const Request req = lane.bound.front();
-    lane.bound.pop_front();
+    const Request req = lane.bound.pop();
     lane.retiredCount++;
     kmuAssert(inFlight > 0, "retire without an in-flight request");
     inFlight--;

@@ -41,10 +41,10 @@
 #define KMU_SERVE_SERVE_DRIVER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
+#include "common/fifo_ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "serve/arrival.hh"
@@ -116,7 +116,7 @@ class ServeDriver : public SimObject
     struct Lane
     {
         /** Bound, not yet retired; front is the oldest. */
-        std::deque<Request> bound;
+        FifoRing<Request> bound;
         std::uint64_t boundCount = 0;   //!< iterations ever bound
         std::uint64_t retiredCount = 0; //!< iterations ever retired
         bool waiting = false;           //!< queued in waiters
@@ -133,8 +133,8 @@ class ServeDriver : public SimObject
     Rng keyRng; //!< popularity draws (separate from arrival stream)
 
     std::vector<Lane> lanes;
-    std::deque<Request> pendingRequests; //!< arrived, no free lane
-    std::deque<std::uint32_t> waiters;   //!< parked lanes, FIFO
+    FifoRing<Request> pendingRequests; //!< arrived, no free lane
+    FifoRing<std::uint32_t> waiters;   //!< parked lanes, FIFO
 
     std::uint64_t nextSeq = 0;
     std::uint32_t inFlight = 0;

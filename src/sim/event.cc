@@ -6,8 +6,20 @@
 namespace kmu
 {
 
+namespace
+{
+
+/** NUL-terminated copy of @p ev's name, for failure messages. */
+std::string
+nameOf(const Event *ev)
+{
+    return std::string(ev->name());
+}
+
+} // anonymous namespace
+
 Event::Event(std::string name, EventPriority priority)
-    : eventName(std::move(name)), prio(priority)
+    : ownedName(std::move(name)), eventName(ownedName), prio(priority)
 {
 }
 
@@ -16,7 +28,8 @@ Event::~Event()
     // Owners must deschedule before destroying; we cannot reach the
     // queue from here, so just flag misuse.
     if (isScheduled)
-        panic("event '%s' destroyed while scheduled", eventName.c_str());
+        panic("event '%.*s' destroyed while scheduled",
+              int(eventName.size()), eventName.data());
 }
 
 EventQueue::~EventQueue()
@@ -25,9 +38,9 @@ EventQueue::~EventQueue()
     // don't flag queue misuse, and drop owned lambda callables (the
     // arena slabs below free the slots themselves). Cancelled entries
     // may point at events that were since destroyed, so those are
-    // skipped by seq without ever touching the pointer.
+    // skipped by key without ever touching the pointer.
     auto disarm = [this](const sched::Entry &entry) {
-        if (cancelledSeqs.erase(entry.seq))
+        if (cancelledKeys.erase(entry.key))
             return;
         entry.event->isScheduled = false;
         if (entry.event->ownedByQueue)
@@ -39,16 +52,24 @@ EventQueue::~EventQueue()
 void
 EventQueue::schedule(Event *event, Tick when)
 {
-    KMU_INVARIANT(!event->isScheduled,
-                  "event '%s' scheduled twice", event->name().c_str());
+    KMU_INVARIANT(!event->isScheduled, "event '%s' scheduled twice",
+                  nameOf(event).c_str());
     KMU_INVARIANT(when >= now,
                   "event '%s' scheduled in the past (%llu < %llu)",
-                  event->name().c_str(), (unsigned long long)when,
+                  nameOf(event).c_str(), (unsigned long long)when,
                   (unsigned long long)now);
+    const auto prio = std::int32_t(event->prio);
+    // The order key packs the priority into 16 bits and the seq into
+    // 48: outside those ranges the service order would be wrong.
+    KMU_INVARIANT(sched::prioFits(prio) && nextSeq <= sched::maxSeq,
+                  "event '%s' priority %d or seq %llu exceeds the "
+                  "order key's packed range", nameOf(event).c_str(), prio,
+                  (unsigned long long)nextSeq);
+    const std::uint64_t key = sched::orderKey(prio, nextSeq++);
     event->isScheduled = true;
     event->scheduledAt = when;
-    event->schedSeq = nextSeq;
-    ladder.insert({when, std::int32_t(event->prio), nextSeq++, event});
+    event->schedKey = key;
+    ladder.insert({when, key, event});
     liveEvents++;
     if (event->ownedByQueue)
         ownedLive++;
@@ -57,23 +78,24 @@ EventQueue::schedule(Event *event, Tick when)
 void
 EventQueue::deschedule(Event *event)
 {
-    KMU_INVARIANT(event->isScheduled,
-                  "descheduling idle event '%s'", event->name().c_str());
+    KMU_INVARIANT(event->isScheduled, "descheduling idle event '%s'",
+                  nameOf(event).c_str());
     KMU_INVARIANT(liveEvents > 0,
                   "live event count underflow descheduling '%s'",
-                  event->name().c_str());
+                  nameOf(event).c_str());
     event->isScheduled = false;
-    cancelledSeqs.insert(event->schedSeq); // invalidates the entry
+    cancelledKeys.insert(event->schedKey); // invalidates the entry
     liveEvents--;
 
     // A descheduled one-shot lambda can never run; recycle its slot
     // now instead of parking it until queue destruction (the old
     // behaviour leaked a slot per cancelled timeout guard). The dead
-    // scheduler entry is recognised by seq alone, so reuse is safe.
+    // scheduler entry is recognised by its key alone, so reuse is
+    // safe.
     if (event->ownedByQueue) {
         KMU_INVARIANT(ownedLive > 0,
-                      "owned event count underflow descheduling '%s'",
-                      event->name().c_str());
+                      "owned event count underflow descheduling "
+                      "'%s'", nameOf(event).c_str());
         ownedLive--;
         releaseLambda(static_cast<LambdaEvent *>(event));
     }
@@ -81,25 +103,25 @@ EventQueue::deschedule(Event *event)
     // Keep the dead fraction of the scheduler bounded. Without this,
     // a workload that schedules far-future events and cancels them
     // before they pop (timeout guards, speculative wakeups) grows the
-    // scheduler and cancelledSeqs without bound even though
+    // scheduler and cancelledKeys without bound even though
     // liveEvents stays flat. The floor of 64 keeps small churny
     // queues on the cheap lazy path.
-    if (cancelledSeqs.size() > 64 && cancelledSeqs.size() > liveEvents)
+    if (cancelledKeys.size() > 64 && cancelledKeys.size() > liveEvents)
         compact();
 }
 
 void
 EventQueue::compact()
 {
-    ladder.compact(cancelledSeqs);
-    KMU_MODEL_CHECK(cancelledSeqs.empty(),
-                    "%zu cancelled seqs match no scheduler entry",
-                    cancelledSeqs.size());
+    ladder.compact(cancelledKeys);
+    KMU_MODEL_CHECK(cancelledKeys.empty(),
+                    "%zu cancelled keys match no scheduler entry",
+                    cancelledKeys.size());
     KMU_MODEL_CHECK(ladder.size() == liveEvents,
                     "compaction kept %zu entries for %llu live events",
                     ladder.size(), (unsigned long long)liveEvents);
     // Swap in a fresh set: clear() keeps the grown bucket array.
-    sched::CancelSet().swap(cancelledSeqs);
+    sched::CancelSet().swap(cancelledKeys);
 }
 
 void
@@ -139,7 +161,7 @@ EventQueue::releaseLambda(LambdaEvent *ev)
 bool
 EventQueue::peek(sched::Entry &out)
 {
-    return ladder.peek(out, cancelledSeqs);
+    return ladder.peek(out, cancelledKeys);
 }
 
 void
@@ -148,21 +170,21 @@ EventQueue::servicePeeked(const sched::Entry &entry)
     Event *ev = entry.event;
 
     // Every scheduler entry is exactly one of: live (its event
-    // scheduled, schedSeq matching) or cancelled (seq parked in
-    // cancelledSeqs).
-    KMU_MODEL_CHECK(ladder.size() == liveEvents + cancelledSeqs.size(),
+    // scheduled, schedKey matching) or cancelled (key parked in
+    // cancelledKeys).
+    KMU_MODEL_CHECK(ladder.size() == liveEvents + cancelledKeys.size(),
                     "scheduler holds %zu entries but %llu live + %zu "
                     "cancelled events are booked", ladder.size(),
                     (unsigned long long)liveEvents,
-                    cancelledSeqs.size());
+                    cancelledKeys.size());
 
     KMU_INVARIANT(entry.when >= now,
                   "event queue time went backwards (%llu < %llu)",
                   (unsigned long long)entry.when,
                   (unsigned long long)now);
     KMU_MODEL_CHECK(ev->scheduledAt == entry.when,
-                    "event '%s' services at %llu but was booked for "
-                    "%llu", ev->name().c_str(),
+                    "event '%s' services at %llu but was booked "
+                    "for %llu", nameOf(ev).c_str(),
                     (unsigned long long)entry.when,
                     (unsigned long long)ev->scheduledAt);
     ladder.popFront();
@@ -179,7 +201,7 @@ EventQueue::servicePeeked(const sched::Entry &entry)
         auto *le = static_cast<LambdaEvent *>(ev);
         KMU_INVARIANT(ownedLive > 0,
                       "owned event count underflow servicing '%s'",
-                      le->name().c_str());
+                      nameOf(le).c_str());
         ownedLive--;
         le->invoke();
         // One-shot lambdas are recycled once they have run; a

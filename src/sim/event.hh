@@ -9,12 +9,12 @@
  * are also supported for glue logic.
  *
  * The hot path is allocation-free after warmup: one-shot lambdas live
- * in a slab-recycled arena (LambdaEvent) whose slots keep their name
- * strings' capacity across reuse, callables up to 48 bytes are stored
- * inline without a std::function, and dispatch goes through a kind
- * tag instead of a virtual call. Pending events sit in a ladder
- * (hierarchical calendar) scheduler — see sim/scheduler.hh for the
- * structure and the service-order proof.
+ * in a slab-recycled arena (LambdaEvent) whose slots borrow the
+ * caller's name string instead of copying it, callables up to 48
+ * bytes are stored inline without a std::function, and dispatch goes
+ * through a kind tag instead of a virtual call. Pending events sit in
+ * a ladder (hierarchical calendar) scheduler — see sim/scheduler.hh
+ * for the structure and the service-order proof.
  */
 
 #ifndef KMU_SIM_EVENT_HH
@@ -39,7 +39,9 @@ namespace kmu
 
 class EventQueue;
 
-/** Scheduling priority; lower values service first within a tick. */
+/** Scheduling priority; lower values service first within a tick.
+ *  Any value in [-32768, 32767] is valid (the scheduler packs it
+ *  into 16 bits of the order key, see sim/scheduler.hh). */
 enum class EventPriority : std::int32_t
 {
     DeviceResponse = -20, //!< deliver data before consumers run
@@ -68,7 +70,7 @@ class Event
     /** Invoked by the queue when the event's tick arrives. */
     virtual void process() = 0;
 
-    const std::string &name() const { return eventName; }
+    std::string_view name() const { return eventName; }
     EventPriority priority() const { return prio; }
     bool scheduled() const { return isScheduled; }
 
@@ -91,13 +93,15 @@ class Event
   private:
     friend class EventQueue;
 
-    std::string eventName;
+    std::string ownedName;
+    /** ownedName, or the name a one-shot lambda's caller keeps. */
+    std::string_view eventName;
     EventPriority prio;
     Kind kind = Kind::Virtual;
     bool isScheduled = false;
     bool ownedByQueue = false; //!< queue recycles it after it runs
     Tick scheduledAt = 0;
-    std::uint64_t schedSeq = 0; //!< seq of the live scheduler entry
+    std::uint64_t schedKey = 0; //!< order key of the live entry
 
   protected:
     /** Subclass constructors claim their dispatch tag here. */
@@ -131,9 +135,9 @@ class CallbackEvent : public Event
  *
  * The callable is stored inline (no std::function, no heap) when it
  * fits `inlineBytes`; larger captures fall back to a single heap
- * allocation. Slots are recycled through a freelist, and the name
- * string keeps its capacity across reuse, so a steady-state schedule/
- * service cycle performs no allocation at all. Only EventQueue
+ * allocation. Slots are recycled through a freelist and only point
+ * at the caller's name, so a steady-state schedule/service cycle
+ * performs no allocation and copies no string. Only EventQueue
  * creates these; user code never sees the pointer.
  */
 class LambdaEvent final : public Event
@@ -207,9 +211,9 @@ class LambdaEvent final : public Event
 /**
  * Deterministic time-ordered event queue.
  *
- * Descheduling is lazy: the scheduler entry's unique sequence number
- * is recorded as cancelled and the entry is skipped when met. Dead
- * entries are recognised by sequence number alone — the queue never
+ * Descheduling is lazy: the scheduler entry's unique order key is
+ * recorded as cancelled and the entry is skipped when met. Dead
+ * entries are recognised by their key alone — the queue never
  * dereferences an event through a cancelled entry, so an event may be
  * destroyed any time after it is descheduled.
  */
@@ -234,8 +238,8 @@ class EventQueue
      * Schedule a one-shot callable; the queue owns the backing
      * arena slot and recycles it after the callable runs (or on
      * deschedule, or at queue destruction if never reached). @p name
-     * is copied into recycled storage — pass a cached string for hot
-     * paths and the call is allocation-free.
+     * is borrowed, not copied: it must outlive the event — pass a
+     * literal or a string member of the scheduling component.
      */
     template <typename F>
     void
@@ -244,7 +248,7 @@ class EventQueue
                    std::string_view name = "lambda")
     {
         LambdaEvent *ev = acquireLambda();
-        ev->eventName.assign(name.data(), name.size());
+        ev->eventName = name;
         ev->prio = prio;
         ev->bind(std::forward<F>(fn));
         ev->ownedByQueue = true;
@@ -271,7 +275,7 @@ class EventQueue
 
     /** Cancelled scheduler entries not yet met or compacted
      *  (bounded: see deschedule()'s compaction trigger). */
-    std::size_t deadEntries() const { return cancelledSeqs.size(); }
+    std::size_t deadEntries() const { return cancelledKeys.size(); }
 
     /** Owned one-shot lambdas currently scheduled (bounded by
      *  size(): a descheduled lambda is recycled immediately). */
@@ -309,8 +313,8 @@ class EventQueue
 
     sched::LadderScheduler ladder;
 
-    /** Seqs of descheduled scheduler entries not yet met. */
-    sched::CancelSet cancelledSeqs;
+    /** Order keys of descheduled scheduler entries not yet met. */
+    sched::CancelSet cancelledKeys;
 
     /** @{ One-shot lambda arena: fixed slabs + freelist. */
     static constexpr std::size_t slabSize = 64;

@@ -23,9 +23,17 @@
  * time, rungs cascade in time order, and no event can enter a bucket
  * that has already been drained (EventQueue guarantees when >= now).
  *
- * Cancellation stays lazy (seq parked in a set, entries dropped when
- * met); compact() walks the structure to drop them eagerly when the
- * dead fraction grows.
+ * The (prio, seq) tie-break is packed into one 64-bit order key:
+ * the priority biased by 2^15 in the top 16 bits, the insertion
+ * sequence in the low 48. Unsigned key order is then exactly
+ * (prio, seq) order, so an Entry is 24 bytes and entryLess is two
+ * compares. EventQueue::schedule() guards both ranges.
+ *
+ * Cancellation stays lazy (the entry's key parked in a set, entries
+ * dropped when met); compact() walks the structure to drop them
+ * eagerly when the dead fraction grows. Model runs almost never
+ * deschedule, so every path that exposes or moves entries tests the
+ * set for emptiness before paying a hash probe per entry.
  */
 
 #ifndef KMU_SIM_SCHEDULER_HH
@@ -46,27 +54,46 @@ class Event;
 namespace sched
 {
 
-/** Seqs of descheduled entries not yet dropped from a scheduler. */
+/** Order keys of descheduled entries not yet dropped. */
 using CancelSet = std::unordered_set<std::uint64_t>;
+
+/** @{ Order-key layout: biased priority above a 48-bit sequence. */
+constexpr unsigned seqBits = 48;
+constexpr std::uint64_t maxSeq = (std::uint64_t(1) << seqBits) - 1;
+constexpr std::int32_t minPrio = -(1 << 15);
+constexpr std::int32_t maxPrio = (1 << 15) - 1;
+/** @} */
+
+/** True when @p prio fits the key's 16-bit priority field. */
+constexpr bool
+prioFits(std::int32_t prio)
+{
+    return prio >= minPrio && prio <= maxPrio;
+}
+
+/** Pack (prio, seq) so that unsigned key order is (prio, seq)
+ *  order. Requires prioFits(prio) and seq <= maxSeq. */
+constexpr std::uint64_t
+orderKey(std::int32_t prio, std::uint64_t seq)
+{
+    return (std::uint64_t(std::uint32_t(prio - minPrio)) << seqBits) |
+           seq;
+}
 
 /** One pending-event record; the scheduler never touches `event`. */
 struct Entry
 {
     Tick when;
-    std::int32_t prio;
-    std::uint64_t seq;
+    std::uint64_t key; //!< orderKey(prio, seq); unique per entry
     Event *event;
 };
+static_assert(sizeof(Entry) == 24, "Entry is three words");
 
-/** Strict total service order: (when, prio, seq), seq unique. */
+/** Strict total service order: (when, key), key unique. */
 inline bool
 entryLess(const Entry &a, const Entry &b)
 {
-    if (a.when != b.when)
-        return a.when < b.when;
-    if (a.prio != b.prio)
-        return a.prio < b.prio;
-    return a.seq < b.seq;
+    return a.when < b.when || (a.when == b.when && a.key < b.key);
 }
 
 /**
@@ -141,12 +168,13 @@ class LadderScheduler
     {
         while (true) {
             while (head < active.size()) {
-                if (cancels.erase(active[head].seq)) {
+                const Entry &e = active[head];
+                if (!cancels.empty() && cancels.erase(e.key)) {
                     ++head;
                     --count;
                     continue;
                 }
-                out = active[head];
+                out = e;
                 return true;
             }
             if (!refill(cancels))
@@ -166,7 +194,7 @@ class LadderScheduler
     compact(CancelSet &cancels)
     {
         auto dead = [&](const Entry &e) {
-            if (cancels.erase(e.seq)) {
+            if (cancels.erase(e.key)) {
                 --count;
                 return true;
             }
@@ -286,6 +314,26 @@ class LadderScheduler
         active.insert(it, e);
     }
 
+    /** Replace the active run with @p vec's entries, dropping the
+     *  cancelled ones, and empty @p vec. The caller sorts. */
+    void
+    takeRun(std::vector<Entry> &vec, CancelSet &cancels)
+    {
+        head = 0;
+        if (cancels.empty()) {
+            active.assign(vec.begin(), vec.end());
+        } else {
+            active.clear();
+            for (const Entry &e : vec) {
+                if (cancels.erase(e.key))
+                    --count;
+                else
+                    active.push_back(e);
+            }
+        }
+        vec.clear();
+    }
+
     /**
      * Pull the next non-empty finest-rung bucket into the active
      * run, cascading coarser rungs / overflow as needed. Returns
@@ -298,16 +346,7 @@ class LadderScheduler
             // Finest rung: next bucket becomes the active run.
             std::size_t b = findFrom(rung[0].occ, rung[0].pos);
             if (b < bucketCount) {
-                auto &vec = rung[0].bucket[b];
-                active.clear();
-                head = 0;
-                for (const Entry &e : vec) {
-                    if (cancels.erase(e.seq))
-                        --count;
-                    else
-                        active.push_back(e);
-                }
-                vec.clear();
+                takeRun(rung[0].bucket[b], cancels);
                 clearBit(rung[0].occ, b);
                 rung[0].pos = b + 1;
                 const Tick end = rung[0].winStart +
@@ -375,15 +414,7 @@ class LadderScheduler
             return Spill::None;
         auto &vec = from.bucket[j];
         if (vec.size() <= promoteMax) {
-            active.clear();
-            head = 0;
-            for (const Entry &e : vec) {
-                if (cancels.erase(e.seq))
-                    --count;
-                else
-                    active.push_back(e);
-            }
-            vec.clear();
+            takeRun(vec, cancels);
             clearBit(from.occ, j);
             from.pos = j + 1;
             const Tick end = from.winStart +
@@ -399,7 +430,7 @@ class LadderScheduler
         to.pos = 0;
         frontEnd = to.winStart;
         for (const Entry &e : vec) {
-            if (cancels.erase(e.seq)) {
+            if (!cancels.empty() && cancels.erase(e.key)) {
                 --count;
                 continue;
             }
@@ -426,14 +457,15 @@ class LadderScheduler
         // could still land in a stale finer-rung window — serviced
         // after it, breaking the exact order.
         auto dead = [&](const Entry &e) {
-            if (cancels.erase(e.seq)) {
+            if (cancels.erase(e.key)) {
                 --count;
                 return true;
             }
             return false;
         };
-        over.erase(std::remove_if(over.begin(), over.end(), dead),
-                   over.end());
+        if (!cancels.empty())
+            over.erase(std::remove_if(over.begin(), over.end(), dead),
+                       over.end());
         if (over.empty())
             return false;
         Tick min_when = maxTick;

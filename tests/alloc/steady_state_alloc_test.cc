@@ -10,6 +10,9 @@
  * long window dilutes. What is left is what each extra steady-state
  * access allocates. The read path hands pooled in-flight read
  * records from component to component, so that must stay near zero.
+ * The software-queue serving shape holds the queue, fetcher and serve
+ * layers to the same bound, and a manual-pump EmulatedDevice (the
+ * real runtime's device) is held to it per serviced request.
  */
 
 #include <gtest/gtest.h>
@@ -20,9 +23,12 @@
 #include <new>
 #include <ostream>
 #include <string>
+#include <vector>
 
+#include "common/thread_annotations.hh"
 #include "common/units.hh"
 #include "core/sim_system.hh"
+#include "device/emulated_device.hh"
 
 namespace
 {
@@ -167,6 +173,24 @@ memoryBus()
     return {"MemoryBus", cfg};
 }
 
+Shape
+simServe()
+{
+    // The benchmark's sim_serve shape: open-loop Poisson serving at
+    // 3.6 requests/us, Zipf 0.99 keys, 4-line values, over software
+    // queues; 4 cores x 16 threads, 4 us device.
+    SystemConfig cfg;
+    cfg.mechanism = Mechanism::SwQueue;
+    cfg.numCores = 4;
+    cfg.threadsPerCore = 16;
+    cfg.device.latency = microseconds(4);
+    cfg.serve.arrival = serve::ArrivalKind::Poisson;
+    cfg.serve.lambdaPerUs = 3.6;
+    cfg.serve.zipfTheta = 0.99;
+    cfg.serve.valueLines = 4;
+    return {"SimServe", cfg};
+}
+
 class SteadyStateAllocTest : public ::testing::TestWithParam<Shape>
 {
 };
@@ -191,10 +215,76 @@ TEST_P(SteadyStateAllocTest, ReadPathAllocatesNothingPerAccess)
 INSTANTIATE_TEST_SUITE_P(
     Shapes, SteadyStateAllocTest,
     ::testing::Values(prefetchShards(), onDemand(), dramBaseline(),
-                      memoryBus()),
+                      memoryBus(), simServe()),
     [](const ::testing::TestParamInfo<Shape> &info) {
         return std::string(info.param.name);
     });
+
+/**
+ * Serve @p requests reads on a manual-pump EmulatedDevice, keeping
+ * eight in flight, and count the allocations made while serving.
+ */
+Counted
+pumpReads(std::uint64_t requests)
+{
+    constexpr std::size_t window = 8;
+    EmulatedDevice::Config cfg;
+    cfg.manual = true;
+    cfg.queueDepth = 64;
+    EmulatedDevice dev(std::vector<std::uint8_t>(64 * 1024), cfg);
+    const std::size_t pair = dev.addQueuePair();
+    SwQueuePair &qp = dev.queuePair(pair);
+    dev.start();
+
+    alignas(64) std::uint8_t bufs[window][64];
+    std::uint64_t submitted = 0;
+    std::uint64_t completed = 0;
+    std::size_t nextBuf = 0;
+    gAllocs.store(0);
+    gCounting.store(true);
+    while (completed < requests) {
+        {
+            RoleGuard host(qp.hostRole);
+            while (submitted < requests &&
+                   submitted - completed < window) {
+                RequestDescriptor desc;
+                desc.deviceAddr = (submitted % 1024) * 64;
+                desc.hostAddr =
+                    reinterpret_cast<std::uintptr_t>(bufs[nextBuf]);
+                nextBuf = (nextBuf + 1) % window;
+                if (!qp.submit(desc))
+                    break;
+                ++submitted;
+            }
+            if (qp.consumeDoorbellRequest())
+                dev.doorbell(pair);
+        }
+        dev.pump();
+        RoleGuard host(qp.hostRole);
+        CompletionDescriptor comp;
+        while (qp.reapCompletion(comp))
+            ++completed;
+    }
+    gCounting.store(false);
+    dev.stop();
+    return Counted{gAllocs.load(), completed};
+}
+
+// The real runtime's device: once its in-flight ring has seen its
+// peak depth, a steady read stream allocates nothing per request.
+TEST(EmulatedDeviceAllocTest, ManualPumpServesReadsWithoutAllocating)
+{
+    const Counted shortRun = pumpReads(1'000);
+    const Counted longRun = pumpReads(20'000);
+    const double perRequest =
+        (double(longRun.allocs) - double(shortRun.allocs)) /
+        double(longRun.accesses - shortRun.accesses);
+    RecordProperty("allocs_per_request", std::to_string(perRequest));
+    EXPECT_LE(perRequest, maxAllocsPerAccess)
+        << shortRun.allocs << " allocs / " << shortRun.accesses
+        << " requests (short) vs " << longRun.allocs << " / "
+        << longRun.accesses << " (long)";
+}
 
 } // anonymous namespace
 } // namespace kmu

@@ -163,6 +163,18 @@ drawPriority(std::mt19937_64 &rng)
     return prios[rng() % prios.size()];
 }
 
+/** The named priorities plus both ends of the order key's 16-bit
+ *  priority field. */
+EventPriority
+drawPackedPriority(std::mt19937_64 &rng)
+{
+    static constexpr std::array<EventPriority, 6> prios = {
+        EventPriority(-32768),         EventPriority::DeviceResponse,
+        EventPriority::Default,        EventPriority::CpuTick,
+        EventPriority::Stats,          EventPriority(32767)};
+    return prios[rng() % prios.size()];
+}
+
 // Random interleavings of the full mutation API, validated op-by-op
 // against the reference model. Seeded, so failures replay exactly.
 TEST_P(EventQueueStressTest, RandomOpsMatchReferenceModel)
@@ -488,6 +500,103 @@ TEST_P(EventQueueStressTest, SparseBucketPromotionOrdering)
         expect.push_back(i);
     eq.run();
     EXPECT_EQ(log, expect);
+}
+
+// The cancel set's empty fast path: the set fills with entries
+// cancelled in the active run, in rungs 1 and 2 and in overflow, and
+// drains to empty as the scheduler meets them, over and over, with
+// priorities at both ends of the packed range. Every pop must match
+// the reference model.
+TEST_P(EventQueueStressTest, CancelSetDrainsAndRefillsAcrossRungs)
+{
+    EventQueue eq;
+    ReferenceQueue ref;
+    std::mt19937_64 rng(0x5eed'0004);
+    std::vector<int> log;
+    std::vector<std::unique_ptr<IdEvent>> pool; // one event per id
+    std::vector<std::uint64_t> seqOf;           // its entry's seq
+    std::uint64_t nextSeq = 0; // mirrors the queue's counter
+    int refills = 0;           // cancel set went empty -> non-empty
+    int drains = 0;            // ... and back to empty
+
+    auto add = [&](Tick when) {
+        const int id = int(pool.size());
+        const EventPriority prio = drawPackedPriority(rng);
+        pool.push_back(std::make_unique<IdEvent>(id, log, prio));
+        eq.schedule(pool.back().get(), when);
+        ref.insert(when, prio, nextSeq, id);
+        seqOf.push_back(nextSeq++);
+        return id;
+    };
+    auto cancel = [&](int id) {
+        const bool wasEmpty = eq.deadEntries() == 0;
+        eq.deschedule(pool[std::size_t(id)].get());
+        ref.erase(seqOf[std::size_t(id)]);
+        if (wasEmpty && eq.deadEntries() > 0)
+            ++refills;
+    };
+    auto service = [&]() {
+        const bool hadDead = eq.deadEntries() > 0;
+        const auto expect = ref.pop();
+        ASSERT_TRUE(eq.serviceOne());
+        ASSERT_EQ(log.back(), expect.id);
+        ASSERT_EQ(eq.curTick(), expect.when);
+        if (hadDead && eq.deadEntries() == 0)
+            ++drains;
+    };
+
+    // Offsets past each rung's span: rung 0 covers 2^18 ps, rung 1
+    // 2^26 and rung 2 2^34; beyond that is overflow.
+    const std::array<std::pair<Tick, Tick>, 3> far = {{
+        {Tick(1) << 18, Tick(1) << 26},
+        {Tick(1) << 26, Tick(1) << 34},
+        {Tick(1) << 35, Tick(1) << 40},
+    }};
+
+    for (int round = 0; round < 400; ++round) {
+        // Rungs 1 and 2 and overflow: three entries each, one of
+        // them cancelled in about half the rounds.
+        for (const auto &[lo, hi] : far) {
+            int ids[3];
+            for (int &id : ids)
+                id = add(eq.curTick() + lo + rng() % (hi - lo));
+            if (rng() % 2 == 0)
+                cancel(ids[rng() % 3]);
+        }
+        // The active run: a service pulls the earliest bucket into
+        // it, and entries at curTick() join it by sorted insert. Zero,
+        // one or two of them are cancelled, so the set often holds a
+        // single key when the run meets it.
+        for (int i = 0; i < 4; ++i)
+            add(eq.curTick() + rng() % 1000);
+        service();
+        int now_ids[4];
+        for (int &id : now_ids)
+            id = add(eq.curTick());
+        const int now_cancels = int(rng() % 3);
+        if (now_cancels > 0)
+            cancel(now_ids[rng() % 2]);
+        if (now_cancels > 1)
+            cancel(now_ids[2 + rng() % 2]);
+
+        const int burst = 1 + int(rng() % 8);
+        for (int k = 0; k < burst && ref.size() > 0; ++k)
+            service();
+        if (round % 8 == 7) {
+            // Run dry: every cancelled entry is met and dropped.
+            while (ref.size() > 0)
+                service();
+            ASSERT_FALSE(eq.serviceOne());
+            ASSERT_EQ(eq.deadEntries(), 0u);
+        }
+        ASSERT_EQ(eq.size(), ref.size()) << "at round " << round;
+    }
+    while (ref.size() > 0)
+        service();
+    EXPECT_FALSE(eq.serviceOne());
+    EXPECT_EQ(eq.deadEntries(), 0u);
+    EXPECT_GE(refills, 50);
+    EXPECT_GE(drains, 50);
 }
 
 // A second seeded workload with an unbounded event pool: the ladder

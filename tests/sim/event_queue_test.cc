@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event.hh"
@@ -24,7 +26,7 @@ class RecordingEvent : public Event
     {
     }
 
-    void process() override { log.push_back(name()); }
+    void process() override { log.emplace_back(name()); }
 
   private:
     std::vector<std::string> &log;
@@ -260,7 +262,7 @@ TEST_P(EventQueueTest, CompactionPreservesOrdering)
             "live" + std::to_string(i), log));
         // Same tick for pairs exercises the seq tie-break.
         eq.schedule(live.back().get(), Tick(10 + i / 2));
-        expect.push_back(live.back()->name());
+        expect.emplace_back(live.back()->name());
     }
     for (int i = 0; i < 200; ++i) {
         dead.push_back(std::make_unique<RecordingEvent>("dead", log));
@@ -304,6 +306,40 @@ TEST_P(EventQueueTest, RescheduleSurvivesCompaction)
     EXPECT_TRUE(eq.empty());
 }
 
+// The order key packs the priority into 16 bits above the seq: both
+// ends of that range and the four named priorities, scheduled at one
+// tick in scrambled order, must service in (prio, seq) order.
+TEST_P(EventQueueTest, PackedPriorityExtremesServiceInKeyOrder)
+{
+    EventQueue eq;
+    std::vector<std::string> log;
+    const EventPriority lowest = EventPriority(-32768);
+    const EventPriority highest = EventPriority(32767);
+    const std::vector<std::pair<const char *, EventPriority>> spec = {
+        {"stats", EventPriority::Stats},
+        {"highest", highest},
+        {"cpu", EventPriority::CpuTick},
+        {"lowest", lowest},
+        {"default", EventPriority::Default},
+        {"resp", EventPriority::DeviceResponse},
+        {"highest2", highest},
+        {"lowest2", lowest},
+        {"default2", EventPriority::Default},
+    };
+    std::vector<std::unique_ptr<RecordingEvent>> events;
+    for (const auto &[name, prio] : spec) {
+        events.push_back(
+            std::make_unique<RecordingEvent>(name, log, prio));
+        eq.schedule(events.back().get(), 1000);
+    }
+    eq.run();
+    EXPECT_EQ(log, (std::vector<std::string>{
+                       "lowest", "lowest2", "resp", "default",
+                       "default2", "cpu", "stats", "highest",
+                       "highest2"}));
+    EXPECT_EQ(eq.curTick(), 1000u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Kernels, EventQueueTest,
                          ::testing::Values(Kernel::Ladder), kernelName);
 
@@ -329,6 +365,19 @@ TEST_P(EventQueueDeathTest, DoubleSchedulePanics)
     eq.schedule(&a, 10);
     EXPECT_DEATH(eq.schedule(&a, 20), "twice");
     eq.deschedule(&a);
+}
+
+// A priority outside the 16 bits the order key gives it would alias
+// another priority's keys and break the service order: scheduling
+// one must trip the packing invariant.
+TEST_P(EventQueueDeathTest, PriorityOutsidePackedRangePanics)
+{
+    EventQueue eq;
+    std::vector<std::string> log;
+    RecordingEvent above("above", log, EventPriority(32768));
+    RecordingEvent below("below", log, EventPriority(-32769));
+    EXPECT_DEATH(eq.schedule(&above, 10), "packed range");
+    EXPECT_DEATH(eq.schedule(&below, 10), "packed range");
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, EventQueueDeathTest,
