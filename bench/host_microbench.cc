@@ -3,7 +3,8 @@
  * Real-host microbenchmark: the paper's loop on *this* machine.
  *
  * Runs the three mechanisms through the actual runtime (fibers, SPSC
- * queues, emulated device thread) and prints wall-clock throughput.
+ * queues, emulated device thread) and prints wall-clock throughput
+ * and the watchdog re-issues (timeouts) each run needed.
  * On a machine without a spare core for the device thread the
  * SwQueue numbers are functional rather than representative — the
  * timing model (fig* benches) is the calibrated reproduction.
@@ -23,7 +24,7 @@ main()
                 "machine");
     table.setHeader({"mechanism", "threads", "batch",
                      "accesses/us", "work-instrs/us", "norm vs "
-                     "on-demand"});
+                     "on-demand", "timeouts"});
 
     HostBenchConfig base_cfg;
     base_cfg.mechanism = Mechanism::OnDemand;
@@ -58,7 +59,8 @@ main()
                       Table::num(std::uint64_t(c.batch)),
                       Table::num(res.accessesPerUs, 2),
                       Table::num(res.workInstrsPerUs, 1),
-                      Table::num(hostNormalized(res, base), 3)});
+                      Table::num(hostNormalized(res, base), 3),
+                      Table::num(res.timeouts)});
     }
 
     table.printAscii(std::cout);

@@ -114,7 +114,7 @@ EmulatedDevice::pump()
         return false;
     }
     step++;
-    passes.fetch_add(1, std::memory_order_relaxed);
+    bump(passes);
     bool busy = false;
     const auto now = Clock::now();
     for (auto &pair : pairs)
@@ -136,7 +136,7 @@ EmulatedDevice::serviceLoop()
             busy |= servicePair(*pair, now);
             draining |= !pair->inFlight.empty();
         }
-        passes.fetch_add(1, std::memory_order_relaxed);
+        bump(passes);
 
         if (stopping && !draining)
             return;
@@ -185,15 +185,19 @@ EmulatedDevice::servicePair(Pair &pair, Clock::time_point now)
                 fault::FaultSite::DescFetchTruncation, descriptorBurst));
         pair.queues.fetchBurst(burst, slots);
         if (burst.empty()) {
-            // Publish the doorbell-request flag FIRST, then re-check
-            // the queue once: a request submitted between our empty
-            // read and the flag publication would otherwise be
-            // stranded (its submitter saw the flag still clear and
-            // did not ring the doorbell).
+            // Park FIRST, then publish the doorbell-request flag,
+            // then re-check the queue once. A request submitted
+            // between our empty read and the flag publication would
+            // otherwise be stranded (its submitter saw the flag
+            // still clear and did not ring the doorbell). Parking
+            // before the flag matters too: a host doorbell answering
+            // the flag may land any time after it is published, and
+            // a park stored after the re-check would overwrite it.
+            pair.parked.store(true, std::memory_order_relaxed);
             pair.queues.requestDoorbell();
             pair.queues.fetchBurst(burst);
-            if (burst.empty())
-                pair.parked.store(true, std::memory_order_release);
+            if (!burst.empty())
+                pair.parked.store(false, std::memory_order_relaxed);
         }
         if (!burst.empty()) {
             busy = true;
@@ -219,7 +223,7 @@ EmulatedDevice::servicePair(Pair &pair, Clock::time_point now)
                     const auto result = pair.replayCheck->lookup(
                         lineAlign(desc.deviceAddr));
                     if (result == ReplayWindow::Result::Miss)
-                        spurious.fetch_add(1, std::memory_order_relaxed);
+                        bump(spurious);
                 }
                 // Brownout: the sick shard still serves, but every
                 // request runs magnitude× slow for the window the
@@ -258,7 +262,7 @@ EmulatedDevice::servicePair(Pair &pair, Clock::time_point now)
     while (!pair.inFlight.empty() && isReady(pair.inFlight.front())) {
         const Pending pending = pair.inFlight.pop();
         completeRequest(pair, pending.desc);
-        serviced.fetch_add(1, std::memory_order_relaxed);
+        bump(serviced);
         busy = true;
     }
 

@@ -137,8 +137,16 @@ class EmulatedDevice
     }
 
     /** @{ Aggregate statistics (valid while running or after stop). */
-    std::uint64_t requestsServiced() const { return serviced.load(); }
-    std::uint64_t replayMisses() const { return spurious.load(); }
+    std::uint64_t
+    requestsServiced() const
+    {
+        return serviced.load(std::memory_order_relaxed);
+    }
+    std::uint64_t
+    replayMisses() const
+    {
+        return spurious.load(std::memory_order_relaxed);
+    }
     /** @} */
 
   private:
@@ -167,7 +175,7 @@ class EmulatedDevice
          *  allocates nothing. */
         std::vector<RequestDescriptor> burst;
         std::atomic<bool> parked
-            KMU_ATOMIC_ROLE(host_clears, device_sets, device_reads){true};
+            KMU_ATOMIC_ROLE(host_clears, device_writes, device_reads){true};
         std::unique_ptr<ReplayWindow> replayCheck;
         std::vector<Addr> recordedSequence;
         std::size_t replayCursor = 0;
@@ -201,6 +209,15 @@ class EmulatedDevice
     std::thread serviceThread;
     std::atomic<bool> stopRequested
         KMU_ATOMIC_ROLE(host_writes, device_reads){false};
+    /** Count one event on a statistic only the device side writes:
+     *  a relaxed load and store, no locked read-modify-write. */
+    static void
+    bump(std::atomic<std::uint64_t> &counter)
+    {
+        counter.store(counter.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
+    }
+
     std::atomic<std::uint64_t> serviced
         KMU_ATOMIC_ROLE(device_writes, observers_read){0};
     std::atomic<std::uint64_t> spurious

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstdint>
 
+#include "common/sanitizer.hh"
 #include "common/thread_annotations.hh"
 #include "queue/descriptor.hh"
 #include "queue/spsc_ring.hh"
@@ -63,7 +64,10 @@ class SwQueuePair
     /**
      * Host side: check-and-clear the doorbell-request flag. Call
      * after submit(); a true return means the host must ring the
-     * MMIO doorbell to restart the fetcher.
+     * MMIO doorbell to restart the fetcher. This is the host half of
+     * the handshake described at requestDoorbell(): the read must
+     * stay a locked read-modify-write, ordered after the submit's
+     * head store.
      */
     bool
     consumeDoorbellRequest() KMU_REQUIRES(hostRole)
@@ -99,11 +103,33 @@ class SwQueuePair
         return completions.tryPush(desc);
     }
 
-    /** Device side: no new descriptors seen — request a doorbell. */
+    /**
+     * Device side: no new descriptors seen — request a doorbell. The
+     * caller must fetch once more afterwards before it parks.
+     *
+     * This is one half of a store→load handshake (Dekker): the
+     * device stores the flag then loads `head` (the re-check); the
+     * host stores `head` (submit) then reads the flag
+     * (consumeDoorbellRequest). At least one side must see the
+     * other's store, or a request submitted in the window strands
+     * with the fetcher parked. A release store followed by an
+     * acquire load may be reordered (x86 store buffers do exactly
+     * that), so the device side is a seq_cst store plus a seq_cst
+     * fence, which orders the flag store before the re-check's load.
+     * The host side's flag read is a locked compare-exchange, a full
+     * barrier after its head store.
+     *
+     * gcc rejects bare fences under -fsanitize=thread (-Wtsan); the
+     * TSan runtime issues a full barrier after every seq_cst store,
+     * so the store alone keeps the order there.
+     */
     void
     requestDoorbell() KMU_REQUIRES(deviceRole)
     {
-        doorbellNeeded.store(true, std::memory_order_release);
+        doorbellNeeded.store(true, std::memory_order_seq_cst);
+#if !KMU_TSAN_ENABLED
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+#endif
     }
 
     /** True when the fetcher is parked waiting for a doorbell. */

@@ -100,6 +100,7 @@ runHostMicrobenchmark(const HostBenchConfig &cfg)
     res.iterations =
         std::uint64_t(cfg.threads) * cfg.iterationsPerThread;
     res.accesses = res.iterations * cfg.batch;
+    res.timeouts = rt.engine().recovery().timeouts;
     if (res.seconds > 0.0) {
         res.accessesPerUs = double(res.accesses) / (res.seconds * 1e6);
         res.workInstrsPerUs =

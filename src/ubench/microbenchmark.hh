@@ -44,6 +44,8 @@ struct HostBenchResult
     std::uint64_t accesses = 0;
     double accessesPerUs = 0.0;
     double workInstrsPerUs = 0.0;
+    /** Watchdog re-issues: the engine's recovery().timeouts. */
+    std::uint64_t timeouts = 0;
 };
 
 /**

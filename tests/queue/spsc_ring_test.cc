@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -193,6 +195,89 @@ TEST(SpscRingTest, ThreadedStressMultiWordPayload)
     // full path.
     EXPECT_GT(ring.totalRejects(), 0u);
     EXPECT_TRUE(ring.empty());
+}
+
+TEST(SpscRingTest, SizeNeverExceedsCapacityUnderRace)
+{
+    // size() is read by observers on any thread while both sides
+    // move. Between its two index loads the consumer may pop and the
+    // producer refill. Loading head first can then see tail past
+    // head (a masked difference reads a bogus count up to the mask,
+    // an unmasked one wraps to ~2^64); loading tail first can see
+    // more than capacity() items between the two loads. Here a
+    // producer and a consumer race on a tiny ring while this thread
+    // and both sides sample size().
+    SpscRing<std::uint64_t> ring(8);
+    constexpr std::uint64_t total = 200000;
+    // Largest size() each thread saw; each written by its own thread
+    // only and read after the joins.
+    std::uint64_t worstProducer = 0, worstConsumer = 0, worstObserver = 0;
+
+    std::thread producer([&]() {
+        RoleGuard produce(ring.producerRole); // this thread: producer
+        for (std::uint64_t i = 0; i < total;) {
+            if (ring.tryPush(i))
+                i++;
+            worstProducer = std::max<std::uint64_t>(worstProducer,
+                                                    ring.size());
+        }
+    });
+    std::atomic<bool> done{false};
+    std::thread consumer([&]() {
+        RoleGuard consume(ring.consumerRole); // this thread: consumer
+        std::uint64_t expect = 0;
+        std::uint64_t v;
+        while (expect < total) {
+            if (ring.tryPop(v)) {
+                EXPECT_EQ(v, expect);
+                expect++;
+            }
+            worstConsumer = std::max<std::uint64_t>(worstConsumer,
+                                                    ring.size());
+        }
+        done.store(true, std::memory_order_release);
+    });
+
+    while (!done.load(std::memory_order_acquire))
+        worstObserver = std::max<std::uint64_t>(worstObserver, ring.size());
+    producer.join();
+    consumer.join();
+    EXPECT_LE(worstProducer, ring.capacity());
+    EXPECT_LE(worstConsumer, ring.capacity());
+    EXPECT_LE(worstObserver, ring.capacity());
+    EXPECT_EQ(ring.size(), 0u);
+    EXPECT_EQ(ring.totalPops(), total);
+}
+
+TEST(SpscRingTest, PopBurstPublishesWholeBurst)
+{
+    SpscRing<int> ring(8);
+    // Single-threaded driver: embodies both ring roles.
+    RoleGuard producer(ring.producerRole);
+    RoleGuard consumer(ring.consumerRole);
+    // Wrap the indices first so the burst straddles the slot array's
+    // end.
+    for (int i = 0; i < 6; ++i)
+        ASSERT_TRUE(ring.tryPush(i));
+    std::vector<int> out;
+    ASSERT_EQ(ring.popBurst(out, 8), 6u);
+    for (int i = 6; i < 13; ++i)
+        ASSERT_TRUE(ring.tryPush(i));
+    EXPECT_FALSE(ring.tryPush(13)); // capacity 7 reached
+    out.clear();
+    EXPECT_EQ(ring.popBurst(out, 5), 5u);
+    EXPECT_EQ(out, (std::vector<int>{6, 7, 8, 9, 10}));
+    EXPECT_EQ(ring.size(), 2u);
+    EXPECT_EQ(ring.totalPops(), 11u);
+    // The freed slots are reusable at once.
+    for (int i = 13; i < 18; ++i)
+        EXPECT_TRUE(ring.tryPush(i));
+    EXPECT_FALSE(ring.tryPush(18));
+    out.clear();
+    EXPECT_EQ(ring.popBurst(out, 16), 7u);
+    EXPECT_EQ(out, (std::vector<int>{11, 12, 13, 14, 15, 16, 17}));
+    EXPECT_EQ(ring.totalPushes(), ring.totalPops());
+    EXPECT_EQ(ring.totalRejects(), 2u);
 }
 
 TEST(SpscRingTest, RejectCounterCountsFullPushes)
