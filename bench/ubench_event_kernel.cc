@@ -4,14 +4,14 @@
  *
  * Drives a fig07-shaped synthetic event pattern — per-core poll-tick
  * chains (~50 ns), device round trips (~1 µs, DeviceResponse
- * priority), same-tick continuation steps, and timeout-guard
- * reschedule churn — through two kernels:
+ * priority) and same-tick continuation steps — through two kernels:
  *
- *  - legacy: a faithful replica of the pre-arena kernel (binary
- *    heap, one heap-allocated CallbackEvent + ownedLambdas map entry
- *    per one-shot, per-schedule name concatenation, virtual
- *    dispatch), kept here as the committed baseline;
- *  - ladder: today's EventQueue (arena lambdas, ladder scheduler).
+ *  - legacy: a replica of the pre-arena kernel's one-shot path
+ *    (binary heap, one heap-allocated std::function event +
+ *    ownedLambdas map entry per one-shot, per-schedule name
+ *    concatenation, virtual dispatch), kept here as the committed
+ *    baseline;
+ *  - ladder: today's EventQueue (arena events, ladder scheduler).
  *
  * The measured loop is the schedule -> dispatch round trip exactly as
  * the model's call sites drive it, so the legacy column prices in the
@@ -37,9 +37,7 @@
 #include <memory>
 #include <queue>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/logging.hh"
@@ -54,7 +52,8 @@ namespace
 {
 
 // ---------------------------------------------------------------
-// Legacy kernel replica (the pre-arena EventQueue, verbatim logic).
+// Legacy kernel replica (the pre-arena EventQueue's one-shot path,
+// verbatim logic).
 // ---------------------------------------------------------------
 
 class LegacyEvent
@@ -68,21 +67,18 @@ class LegacyEvent
     virtual ~LegacyEvent() = default;
     virtual void process() = 0;
 
-    bool scheduled() const { return isScheduled; }
-
     std::string eventName;
     EventPriority prio;
     bool isScheduled = false;
     bool ownedByQueue = false;
     Tick scheduledAt = 0;
-    std::uint64_t heapSeq = 0;
 };
 
-class LegacyCallbackEvent : public LegacyEvent
+class LegacyFnEvent : public LegacyEvent
 {
   public:
-    LegacyCallbackEvent(std::string name, std::function<void()> fn,
-                        EventPriority prio = EventPriority::Default)
+    LegacyFnEvent(std::string name, std::function<void()> fn,
+                  EventPriority prio = EventPriority::Default)
         : LegacyEvent(std::move(name), prio), callback(std::move(fn))
     {
     }
@@ -98,52 +94,23 @@ class LegacyQueue
     Tick curTick() const { return now; }
 
     void
-    schedule(LegacyEvent *event, Tick when)
-    {
-        event->isScheduled = true;
-        event->scheduledAt = when;
-        event->heapSeq = nextSeq;
-        heap.push(HeapEntry{when, std::int32_t(event->prio),
-                            nextSeq++, event});
-        liveEvents++;
-    }
-
-    void
-    deschedule(LegacyEvent *event)
-    {
-        event->isScheduled = false;
-        cancelledSeqs.insert(event->heapSeq);
-        liveEvents--;
-        if (cancelledSeqs.size() > 64 &&
-            cancelledSeqs.size() > liveEvents)
-            compact();
-    }
-
-    void
-    reschedule(LegacyEvent *event, Tick when)
-    {
-        if (event->isScheduled)
-            deschedule(event);
-        schedule(event, when);
-    }
-
-    void
     scheduleLambda(Tick when, std::function<void()> fn,
                    EventPriority prio, std::string name)
     {
-        auto ev = std::make_unique<LegacyCallbackEvent>(
+        auto ev = std::make_unique<LegacyFnEvent>(
             std::move(name), std::move(fn), prio);
         ev->ownedByQueue = true;
-        LegacyCallbackEvent *raw = ev.get();
+        LegacyFnEvent *raw = ev.get();
         ownedLambdas.emplace(raw, std::move(ev));
-        schedule(raw, when);
+        raw->isScheduled = true;
+        raw->scheduledAt = when;
+        heap.push(HeapEntry{when, std::int32_t(prio), nextSeq++, raw});
+        liveEvents++;
     }
 
     bool
     serviceOne()
     {
-        while (!heap.empty() && cancelledSeqs.erase(heap.top().seq))
-            heap.pop();
         if (heap.empty())
             return false;
         HeapEntry entry = heap.top();
@@ -182,28 +149,12 @@ class LegacyQueue
         }
     };
 
-    void
-    compact()
-    {
-        std::vector<HeapEntry> survivors;
-        survivors.reserve(liveEvents);
-        while (!heap.empty()) {
-            const HeapEntry &entry = heap.top();
-            if (!cancelledSeqs.erase(entry.seq))
-                survivors.push_back(entry);
-            heap.pop();
-        }
-        std::unordered_set<std::uint64_t>().swap(cancelledSeqs);
-        heap = decltype(heap)(HeapCompare{}, std::move(survivors));
-    }
-
     Tick now = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t liveEvents = 0;
     std::uint64_t servicedCount = 0;
     std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                         HeapCompare> heap;
-    std::unordered_set<std::uint64_t> cancelledSeqs;
     std::unordered_map<LegacyEvent *,
                        std::unique_ptr<LegacyEvent>> ownedLambdas;
 };
@@ -228,17 +179,6 @@ class Driver
             wakeName[c] = coreName[c] + ".wake";
             stepName[c] = coreName[c] + ".step";
             deliverName[c] = coreName[c] + ".deliver";
-            guards.push_back(std::make_unique<Guard>(
-                coreName[c] + ".guard", [] {},
-                EventPriority::Default));
-        }
-    }
-
-    ~Driver()
-    {
-        for (auto &g : guards) {
-            if (g->scheduled())
-                q.deschedule(g.get());
         }
     }
 
@@ -261,16 +201,9 @@ class Driver
     }
 
   private:
-    /** Timeout guard: a member-style CallbackEvent the driver keeps
-     *  rescheduling, as the model's watchdog/sampler events do. */
-    using Guard = std::conditional_t<
-        std::is_same_v<Queue, LegacyQueue>, LegacyCallbackEvent,
-        CallbackEvent>;
-
     static constexpr unsigned cores = 4;
     static constexpr Tick pollPeriod = 50 * tickPerNs;
     static constexpr Tick deviceLatency = 1000 * tickPerNs;
-    static constexpr Tick guardTimeout = 100'000 * tickPerNs;
 
     /**
      * Schedule @p fn as core @p c's one-shot: the legacy idiom builds
@@ -310,9 +243,6 @@ class Driver
     issueRead(unsigned c)
     {
         ++inFlight[c];
-        // Watchdog churn: re-arming the guard deschedules the
-        // previous instance, feeding the lazy-cancel path.
-        q.reschedule(guards[c].get(), q.curTick() + guardTimeout);
         post(
             q.curTick() + deviceLatency,
             [this, c] {
@@ -331,7 +261,6 @@ class Driver
     std::string wakeName[cores];
     std::string stepName[cores];
     std::string deliverName[cores];
-    std::vector<std::unique_ptr<Guard>> guards;
     std::uint64_t pollCount[cores] = {};
     std::uint64_t stepsDone[cores] = {};
     unsigned inFlight[cores] = {};

@@ -10,9 +10,13 @@
  * the SimSystem that assembles them — register named check functions;
  * the checker sweeps them at a fixed simulated-time interval.
  *
- * The sweep event only reschedules itself while other events remain,
- * so attaching a checker never keeps an otherwise-drained event queue
- * alive (queue-drain termination still works).
+ * Each sweep is a one-shot event that books the next one, and only
+ * while other events remain, so attaching a checker never keeps an
+ * otherwise-drained event queue alive (queue-drain termination still
+ * works). An `armed` flag keeps at most one sweep booked. A sweep
+ * still pending when the checker dies is disposed unrun at queue
+ * teardown, so the checker needs no destructor; it must only outlive
+ * every run of its queue.
  *
  * Header-only: SimChecker sits above kmu_sim in the layering, while
  * the invariant core (check/invariant.hh) sits below it — keeping
@@ -45,18 +49,9 @@ class SimChecker : public SimObject
         : SimObject(std::move(name), queue, stat_parent),
           sweepsRun(stats(), "sweeps", "invariant sweeps executed"),
           checksRun(stats(), "checks", "individual checks executed"),
-          sweepEvent(
-              this->name() + ".sweep", [this]() { sweep(); },
-              EventPriority::Stats),
-          sweepInterval(interval)
+          sweepName(this->name() + ".sweep"), sweepInterval(interval)
     {
         kmuAssert(interval > 0, "checker interval must be positive");
-    }
-
-    ~SimChecker() override
-    {
-        if (sweepEvent.scheduled())
-            eventQueue().deschedule(&sweepEvent);
     }
 
     /** Register a named invariant-sweep function. */
@@ -77,12 +72,13 @@ class SimChecker : public SimObject
         }
     }
 
-    /** Begin periodic sweeps every interval ticks from now. */
+    /** Begin periodic sweeps every interval ticks from now (no-op
+     *  while a sweep is already booked). */
     void
     start()
     {
-        if (!sweepEvent.scheduled())
-            scheduleIn(&sweepEvent, sweepInterval);
+        if (!armed)
+            arm();
     }
 
     std::size_t checkCount() const { return checks.size(); }
@@ -92,19 +88,30 @@ class SimChecker : public SimObject
 
   private:
     void
+    arm()
+    {
+        armed = true;
+        eventQueue().scheduleLambda(
+            curTick() + sweepInterval, [this] { sweep(); },
+            EventPriority::Stats, sweepName);
+    }
+
+    void
     sweep()
     {
+        armed = false;
         runChecks();
         ++sweepsRun;
-        // Reschedule only while other work remains: a lone checker
+        // Re-arm only while other work remains: a lone checker
         // event must not keep a drained queue spinning forever.
         if (eventQueue().size() > 0)
-            scheduleIn(&sweepEvent, sweepInterval);
+            arm();
     }
 
     std::vector<std::pair<std::string, CheckFn>> checks;
-    CallbackEvent sweepEvent;
+    std::string sweepName; //!< labels the sweep event
     Tick sweepInterval;
+    bool armed = false;
 };
 
 } // namespace kmu

@@ -2,19 +2,19 @@
  * @file
  * Event and EventQueue: the discrete-event simulation kernel.
  *
- * The kernel is deliberately small and deterministic. Events are
- * ordered by (tick, priority, insertion sequence), so two runs of the
- * same configuration produce identical schedules. Components own their
- * Event objects and schedule them on the queue; one-shot lambda events
- * are also supported for glue logic.
+ * The kernel is deliberately small and deterministic. It has one
+ * event shape: a queue-owned one-shot callable, booked with
+ * EventQueue::scheduleLambda and run once when its tick arrives.
+ * Events are ordered by (tick, priority, insertion sequence), so two
+ * runs of the same configuration produce identical schedules. A
+ * component that needs periodic work re-books itself from inside its
+ * callable; nothing is ever cancelled.
  *
- * The hot path is allocation-free after warmup: one-shot lambdas live
- * in a slab-recycled arena (LambdaEvent) whose slots borrow the
- * caller's name string instead of copying it, callables up to 48
- * bytes are stored inline without a std::function, and dispatch goes
- * through a kind tag instead of a virtual call. Pending events sit in
- * a ladder (hierarchical calendar) scheduler — see sim/scheduler.hh
- * for the structure and the service-order proof.
+ * The hot path is allocation-free after warmup: events live in a
+ * slab-recycled arena, callables up to 48 bytes are stored inline
+ * without a std::function, and dispatch is one indirect call.
+ * Pending events sit in a ladder (hierarchical calendar) scheduler —
+ * see sim/scheduler.hh for the structure and the service-order proof.
  */
 
 #ifndef KMU_SIM_EVENT_HH
@@ -22,10 +22,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
-#include <string>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -51,106 +49,26 @@ enum class EventPriority : std::int32_t
 };
 
 /**
- * Base class for all schedulable work.
- *
- * An Event may be scheduled on at most one queue at a time. The queue
- * never owns Events derived from this class; their owner must keep
- * them alive while scheduled.
- */
-class Event
-{
-  public:
-    explicit Event(std::string name = "anon",
-                   EventPriority prio = EventPriority::Default);
-    virtual ~Event();
-
-    Event(const Event &) = delete;
-    Event &operator=(const Event &) = delete;
-
-    /** Invoked by the queue when the event's tick arrives. */
-    virtual void process() = 0;
-
-    std::string_view name() const { return eventName; }
-    EventPriority priority() const { return prio; }
-    bool scheduled() const { return isScheduled; }
-
-    /** Tick this event is scheduled for (valid only if scheduled()). */
-    Tick when() const { return scheduledAt; }
-
-  protected:
-    /**
-     * Dispatch tag: the queue services the known subclasses through
-     * a direct (devirtualized) call. Subclasses other than the two
-     * below always take the virtual process() path.
-     */
-    enum class Kind : std::uint8_t
-    {
-        Virtual = 0,  //!< dispatch via virtual process()
-        Callback = 1, //!< CallbackEvent: direct std::function call
-        Lambda = 2    //!< LambdaEvent: inline-stored callable
-    };
-
-  private:
-    friend class EventQueue;
-
-    std::string ownedName;
-    /** ownedName, or the name a one-shot lambda's caller keeps. */
-    std::string_view eventName;
-    EventPriority prio;
-    Kind kind = Kind::Virtual;
-    bool isScheduled = false;
-    bool ownedByQueue = false; //!< queue recycles it after it runs
-    Tick scheduledAt = 0;
-    std::uint64_t schedKey = 0; //!< order key of the live entry
-
-  protected:
-    /** Subclass constructors claim their dispatch tag here. */
-    void setKind(Kind k) { kind = k; }
-};
-
-/** Event whose process() runs a bound callable. */
-class CallbackEvent : public Event
-{
-  public:
-    CallbackEvent(std::string name, std::function<void()> fn,
-                  EventPriority priority = EventPriority::Default)
-        : Event(std::move(name), priority), callback(std::move(fn))
-    {
-        setKind(Kind::Callback);
-    }
-
-    void process() override { callback(); }
-
-  private:
-    friend class EventQueue;
-
-    /** Tag-dispatch fast path: skips the vtable. */
-    void invokeCallback() { callback(); }
-
-    std::function<void()> callback;
-};
-
-/**
- * Arena-recycled one-shot event backing EventQueue::scheduleLambda.
+ * One arena slot holding a scheduled one-shot callable.
  *
  * The callable is stored inline (no std::function, no heap) when it
  * fits `inlineBytes`; larger captures fall back to a single heap
- * allocation. Slots are recycled through a freelist and only point
- * at the caller's name, so a steady-state schedule/service cycle
- * performs no allocation and copies no string. Only EventQueue
- * creates these; user code never sees the pointer.
+ * allocation. Slots are recycled through a freelist, so a
+ * steady-state schedule/service cycle performs no allocation. Only
+ * EventQueue creates these; user code never sees the pointer.
  */
-class LambdaEvent final : public Event
+class Event final
 {
   public:
-    LambdaEvent() : Event("lambda") { setKind(Kind::Lambda); }
+    Event(const Event &) = delete;
+    Event &operator=(const Event &) = delete;
 
-    ~LambdaEvent() override { dispose(); }
-
-    void process() override { invoke(); }
+    ~Event() { dispose(); }
 
   private:
     friend class EventQueue;
+
+    Event() = default;
 
     static constexpr std::size_t inlineBytes = 48;
 
@@ -166,10 +84,10 @@ class LambdaEvent final : public Event
             // kmu-analyze: allow(raw-new)
             ::new (static_cast<void *>(store))
                 Fn(std::forward<F>(fn));
-            invokePtr = [](LambdaEvent &e) {
+            invokePtr = [](Event &e) {
                 (*std::launder(reinterpret_cast<Fn *>(e.store)))();
             };
-            disposePtr = [](LambdaEvent &e) {
+            disposePtr = [](Event &e) {
                 std::launder(reinterpret_cast<Fn *>(e.store))->~Fn();
             };
         } else {
@@ -177,10 +95,10 @@ class LambdaEvent final : public Event
             // disposePtr below.
             // kmu-analyze: allow(raw-new)
             heapObj = new Fn(std::forward<F>(fn));
-            invokePtr = [](LambdaEvent &e) {
+            invokePtr = [](Event &e) {
                 (*static_cast<Fn *>(e.heapObj))();
             };
-            disposePtr = [](LambdaEvent &e) {
+            disposePtr = [](Event &e) {
                 // kmu-analyze: allow(raw-new)
                 delete static_cast<Fn *>(e.heapObj);
                 e.heapObj = nullptr;
@@ -203,43 +121,36 @@ class LambdaEvent final : public Event
 
     alignas(std::max_align_t) unsigned char store[inlineBytes];
     void *heapObj = nullptr;
-    void (*invokePtr)(LambdaEvent &) = nullptr;
-    void (*disposePtr)(LambdaEvent &) = nullptr;
-    LambdaEvent *nextFree = nullptr; //!< arena freelist link
+    void (*invokePtr)(Event &) = nullptr;
+    void (*disposePtr)(Event &) = nullptr;
+    Event *nextFree = nullptr; //!< arena freelist link
 };
 
 /**
  * Deterministic time-ordered event queue.
  *
- * Descheduling is lazy: the scheduler entry's unique order key is
- * recorded as cancelled and the entry is skipped when met. Dead
- * entries are recognised by their key alone — the queue never
- * dereferences an event through a cancelled entry, so an event may be
- * destroyed any time after it is descheduled.
+ * Nothing is cancelled: an event runs when its tick is serviced, or
+ * never if the queue is destroyed first — the arena then disposes
+ * the callable without calling it. A callable may therefore capture
+ * pointers to components that die before the queue, as long as no
+ * run() or serviceOne() reaches it after they die.
  */
 class EventQueue
 {
   public:
-    ~EventQueue();
+    EventQueue() = default;
+    EventQueue(const EventQueue &) = delete;
+    EventQueue &operator=(const EventQueue &) = delete;
 
     /** Current simulated time. */
     Tick curTick() const { return now; }
 
-    /** Schedule @p event at absolute tick @p when (>= curTick()). */
-    void schedule(Event *event, Tick when);
-
-    /** Remove a scheduled event from the queue. */
-    void deschedule(Event *event);
-
-    /** Deschedule (if needed) and schedule at a new tick. */
-    void reschedule(Event *event, Tick when);
-
     /**
-     * Schedule a one-shot callable; the queue owns the backing
-     * arena slot and recycles it after the callable runs (or on
-     * deschedule, or at queue destruction if never reached). @p name
-     * is borrowed, not copied: it must outlive the event — pass a
-     * literal or a string member of the scheduling component.
+     * Schedule the one-shot callable @p fn at absolute tick @p when
+     * (>= curTick()). The tick and priority are checked before an
+     * arena slot is taken, so a trapped violation leaves the queue
+     * as it was. @p name labels the event in those checks' failure
+     * messages only.
      */
     template <typename F>
     void
@@ -247,19 +158,17 @@ class EventQueue
                    EventPriority prio = EventPriority::Default,
                    std::string_view name = "lambda")
     {
-        LambdaEvent *ev = acquireLambda();
-        ev->eventName = name;
-        ev->prio = prio;
+        const std::uint64_t key = bookKey(when, prio, name);
+        Event *ev = acquire();
         ev->bind(std::forward<F>(fn));
-        ev->ownedByQueue = true;
-        schedule(ev, when);
+        ladder.insert({when, key, ev});
     }
 
     /** True when no runnable events remain. */
-    bool empty() const { return liveEvents == 0; }
+    bool empty() const { return ladder.size() == 0; }
 
     /** Number of currently scheduled events. */
-    std::uint64_t size() const { return liveEvents; }
+    std::uint64_t size() const { return ladder.size(); }
 
     /** Service the single next event; returns false if none remain. */
     bool serviceOne();
@@ -273,53 +182,33 @@ class EventQueue
     /** Total events serviced since construction. */
     std::uint64_t serviced() const { return servicedCount; }
 
-    /** Cancelled scheduler entries not yet met or compacted
-     *  (bounded: see deschedule()'s compaction trigger). */
-    std::size_t deadEntries() const { return cancelledKeys.size(); }
-
-    /** Owned one-shot lambdas currently scheduled (bounded by
-     *  size(): a descheduled lambda is recycled immediately). */
-    std::uint64_t ownedPending() const { return ownedLive; }
-
   private:
-    /**
-     * Drop every cancelled entry from the scheduler. Lazy
-     * descheduling alone lets dead entries accumulate without bound
-     * when a workload schedules and cancels far-future events (e.g.
-     * timeout guards that almost never fire) faster than the
-     * scheduler meets them. deschedule() triggers this once the dead
-     * entries outnumber the live ones (and exceed a floor), which
-     * amortizes the O(n) walk to O(1) per deschedule and keeps
-     * scheduler memory proportional to live events.
-     */
-    void compact();
+    /** Check @p when and @p prio, then return the next order key. */
+    std::uint64_t bookKey(Tick when, EventPriority prio,
+                          std::string_view name);
 
     /** Take a recycled (or fresh) arena slot. */
-    LambdaEvent *acquireLambda();
+    Event *acquire();
 
-    /** Destroy the callable and return the slot to the freelist. */
-    void releaseLambda(LambdaEvent *ev);
-
-    /** Service the entry a successful peek() exposed. */
-    void servicePeeked(const sched::Entry &entry);
-
-    bool peek(sched::Entry &out);
+    /** Pop and run the entry a successful peek exposed, then
+     *  recycle its slot. */
+    void service(const sched::Entry &entry);
 
     Tick now = 0;
     std::uint64_t nextSeq = 0;
-    std::uint64_t liveEvents = 0;
     std::uint64_t servicedCount = 0;
-    std::uint64_t ownedLive = 0;
 
     sched::LadderScheduler ladder;
 
-    /** Order keys of descheduled scheduler entries not yet met. */
-    sched::CancelSet cancelledKeys;
-
-    /** @{ One-shot lambda arena: fixed slabs + freelist. */
+    /** @{ Event arena: fixed slabs + freelist. A slab's destructor
+     *  disposes the callables of events never reached. */
     static constexpr std::size_t slabSize = 64;
-    std::vector<std::unique_ptr<LambdaEvent[]>> slabs;
-    LambdaEvent *freeLambdas = nullptr;
+    struct Slab
+    {
+        Event events[slabSize];
+    };
+    std::vector<std::unique_ptr<Slab>> slabs;
+    Event *freeEvents = nullptr;
     /** @} */
 };
 

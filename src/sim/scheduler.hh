@@ -27,13 +27,11 @@
  * the priority biased by 2^15 in the top 16 bits, the insertion
  * sequence in the low 48. Unsigned key order is then exactly
  * (prio, seq) order, so an Entry is 24 bytes and entryLess is two
- * compares. EventQueue::schedule() guards both ranges.
+ * compares. EventQueue::scheduleLambda() guards both ranges.
  *
- * Cancellation stays lazy (the entry's key parked in a set, entries
- * dropped when met); compact() walks the structure to drop them
- * eagerly when the dead fraction grows. Model runs almost never
- * deschedule, so every path that exposes or moves entries tests the
- * set for emptiness before paying a hash probe per entry.
+ * Entries are only ever inserted and popped in order: nothing is
+ * cancelled, so every stored entry is live and every occupied bucket
+ * is non-empty.
  */
 
 #ifndef KMU_SIM_SCHEDULER_HH
@@ -41,7 +39,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/types.hh"
@@ -53,9 +50,6 @@ class Event;
 
 namespace sched
 {
-
-/** Order keys of descheduled entries not yet dropped. */
-using CancelSet = std::unordered_set<std::uint64_t>;
 
 /** @{ Order-key layout: biased priority above a 48-bit sequence. */
 constexpr unsigned seqBits = 48;
@@ -163,23 +157,14 @@ class LadderScheduler
         over.push_back(e);
     }
 
+    /** Copy the minimum entry to @p out; false when none is stored. */
     bool
-    peek(Entry &out, CancelSet &cancels)
+    peek(Entry &out)
     {
-        while (true) {
-            while (head < active.size()) {
-                const Entry &e = active[head];
-                if (!cancels.empty() && cancels.erase(e.key)) {
-                    ++head;
-                    --count;
-                    continue;
-                }
-                out = e;
-                return true;
-            }
-            if (!refill(cancels))
-                return false;
-        }
+        if (head == active.size() && !refill())
+            return false;
+        out = active[head];
+        return true;
     }
 
     void
@@ -189,62 +174,7 @@ class LadderScheduler
         --count;
     }
 
-    /** Drop every entry named in @p cancels. */
-    void
-    compact(CancelSet &cancels)
-    {
-        auto dead = [&](const Entry &e) {
-            if (cancels.erase(e.key)) {
-                --count;
-                return true;
-            }
-            return false;
-        };
-        active.erase(std::remove_if(active.begin() +
-                                        std::ptrdiff_t(head),
-                                    active.end(), dead),
-                     active.end());
-        for (Rung &r : rung) {
-            for (std::size_t i = 0; i < bucketCount; ++i) {
-                if (!testBit(r.occ, i))
-                    continue;
-                auto &vec = r.bucket[i];
-                vec.erase(std::remove_if(vec.begin(), vec.end(), dead),
-                          vec.end());
-                if (vec.empty())
-                    clearBit(r.occ, i);
-            }
-        }
-        over.erase(std::remove_if(over.begin(), over.end(), dead),
-                   over.end());
-    }
-
     std::size_t size() const { return count; }
-
-    /** Visit every stored entry, consuming it (teardown walk; order
-     *  unspecified): afterwards size()==0 and nothing is stored. */
-    template <typename Fn>
-    void
-    forEachEntry(Fn fn)
-    {
-        for (std::size_t i = head; i < active.size(); ++i)
-            fn(active[i]);
-        for (Rung &r : rung) {
-            for (std::size_t i = 0; i < bucketCount; ++i) {
-                for (const Entry &e : r.bucket[i])
-                    fn(e);
-                r.bucket[i].clear();
-            }
-            for (std::uint64_t &word : r.occ)
-                word = 0;
-        }
-        for (const Entry &e : over)
-            fn(e);
-        over.clear();
-        active.clear();
-        head = 0;
-        count = 0;
-    }
 
   private:
     static constexpr unsigned shift0 = 10; //!< 1.024 ns buckets
@@ -275,12 +205,6 @@ class LadderScheduler
     clearBit(std::uint64_t *occ, std::size_t i)
     {
         occ[i >> 6] &= ~(std::uint64_t(1) << (i & 63));
-    }
-
-    static bool
-    testBit(const std::uint64_t *occ, std::size_t i)
-    {
-        return (occ[i >> 6] >> (i & 63)) & 1;
     }
 
     /** Lowest set bit index >= from, or bucketCount if none. */
@@ -314,24 +238,27 @@ class LadderScheduler
         active.insert(it, e);
     }
 
-    /** Replace the active run with @p vec's entries, dropping the
-     *  cancelled ones, and empty @p vec. The caller sorts. */
+    /**
+     * Move @p r's bucket @p j into the active run, sorted. The
+     * bucket is a complete time slice, so the run then holds every
+     * pending entry below the bucket's end, which becomes frontEnd
+     * (invariant I2).
+     */
     void
-    takeRun(std::vector<Entry> &vec, CancelSet &cancels)
+    promote(Rung &r, std::size_t j)
     {
+        auto &vec = r.bucket[j];
         head = 0;
-        if (cancels.empty()) {
-            active.assign(vec.begin(), vec.end());
-        } else {
-            active.clear();
-            for (const Entry &e : vec) {
-                if (cancels.erase(e.key))
-                    --count;
-                else
-                    active.push_back(e);
-            }
-        }
+        active.assign(vec.begin(), vec.end());
         vec.clear();
+        clearBit(r.occ, j);
+        r.pos = j + 1;
+        const Tick end = r.winStart + (Tick(j + 1) << r.shift);
+        if (end < r.winStart + (Tick(j) << r.shift))
+            frontSaturated = true; // wrapped past maxTick
+        else
+            frontEnd = end;
+        std::sort(active.begin(), active.end(), entryLess);
     }
 
     /**
@@ -340,49 +267,33 @@ class LadderScheduler
      * false only when nothing is stored at all.
      */
     bool
-    refill(CancelSet &cancels)
+    refill()
     {
         while (true) {
             // Finest rung: next bucket becomes the active run.
-            std::size_t b = findFrom(rung[0].occ, rung[0].pos);
+            const std::size_t b = findFrom(rung[0].occ, rung[0].pos);
             if (b < bucketCount) {
-                takeRun(rung[0].bucket[b], cancels);
-                clearBit(rung[0].occ, b);
-                rung[0].pos = b + 1;
-                const Tick end = rung[0].winStart +
-                                 (Tick(b + 1) << shift0);
-                if (end < rung[0].winStart + (Tick(b) << shift0))
-                    frontSaturated = true; // wrapped past maxTick
-                else
-                    frontEnd = end;
-                if (active.empty())
-                    continue; // every entry was cancelled
-                std::sort(active.begin(), active.end(), entryLess);
+                promote(rung[0], b);
                 return true;
             }
-            switch (cascade(rung[0], rung[1], cancels)) {
+            switch (cascade(rung[0], rung[1])) {
               case Spill::Promoted:
-                if (active.empty())
-                    continue; // every entry was cancelled
                 return true;
               case Spill::Cascaded:
                 continue;
               case Spill::None:
                 break;
             }
-            switch (cascade(rung[1], rung[2], cancels)) {
+            switch (cascade(rung[1], rung[2])) {
               case Spill::Promoted:
-                if (active.empty())
-                    continue;
                 return true;
               case Spill::Cascaded:
                 continue;
               case Spill::None:
                 break;
             }
-            if (rebaseOverflow(cancels))
-                continue;
-            return false;
+            if (!rebaseOverflow())
+                return false;
         }
     }
 
@@ -400,40 +311,25 @@ class LadderScheduler
      * run. Promotion skips the finer-rung round trip that dominates
      * on µs-spaced event streams (each event would be copied through
      * every rung just to land alone in its own bucket); it is exact
-     * because the bucket is a complete time slice: after the sort the
-     * run holds every pending entry below the bucket's end, which
-     * becomes frontEnd (invariant I2), and the finer windows left
-     * stale lie entirely below frontEnd so no insert can land there
-     * (the frontEnd test comes first).
+     * because the bucket is a complete time slice (see promote()),
+     * and the finer windows left stale lie entirely below frontEnd
+     * so no insert can land there (the frontEnd test comes first).
      */
     Spill
-    cascade(Rung &to, Rung &from, CancelSet &cancels)
+    cascade(Rung &to, Rung &from)
     {
         const std::size_t j = findFrom(from.occ, from.pos);
         if (j >= bucketCount)
             return Spill::None;
         auto &vec = from.bucket[j];
         if (vec.size() <= promoteMax) {
-            takeRun(vec, cancels);
-            clearBit(from.occ, j);
-            from.pos = j + 1;
-            const Tick end = from.winStart +
-                             (Tick(j + 1) << from.shift);
-            if (end < from.winStart + (Tick(j) << from.shift))
-                frontSaturated = true; // wrapped past maxTick
-            else
-                frontEnd = end;
-            std::sort(active.begin(), active.end(), entryLess);
+            promote(from, j);
             return Spill::Promoted;
         }
         to.winStart = from.winStart + (Tick(j) << from.shift);
         to.pos = 0;
         frontEnd = to.winStart;
         for (const Entry &e : vec) {
-            if (!cancels.empty() && cancels.erase(e.key)) {
-                --count;
-                continue;
-            }
             const std::size_t idx =
                 std::size_t((e.when - to.winStart) >> to.shift);
             to.bucket[idx].push_back(e);
@@ -447,25 +343,8 @@ class LadderScheduler
 
     /** Re-window the coarsest rung at the overflow minimum. */
     bool
-    rebaseOverflow(CancelSet &cancels)
+    rebaseOverflow()
     {
-        // Drop cancelled entries BEFORE computing the new window.
-        // If the window moved first and every entry then turned out
-        // to be dead, winStart would sit parked far ahead while
-        // frontEnd stays low: a later insert into the uncovered gap
-        // would join the active run while an earlier-tick insert
-        // could still land in a stale finer-rung window — serviced
-        // after it, breaking the exact order.
-        auto dead = [&](const Entry &e) {
-            if (cancels.erase(e.key)) {
-                --count;
-                return true;
-            }
-            return false;
-        };
-        if (!cancels.empty())
-            over.erase(std::remove_if(over.begin(), over.end(), dead),
-                       over.end());
         if (over.empty())
             return false;
         Tick min_when = maxTick;
@@ -487,9 +366,9 @@ class LadderScheduler
             }
         }
         over = std::move(keep);
-        // The minimum survivor is in-window by construction (the
+        // The minimum entry is in-window by construction (the
         // window starts at min_when aligned down), so the rung now
-        // holds at least one live entry.
+        // holds at least one entry.
         return true;
     }
 
@@ -499,7 +378,7 @@ class LadderScheduler
     Tick frontEnd = 0;         //!< exclusive end of the active region
     bool frontSaturated = false;
     std::vector<Entry> over;   //!< beyond the coarsest window
-    std::size_t count = 0;     //!< stored entries, dead included
+    std::size_t count = 0;     //!< stored entries
 };
 
 } // namespace sched

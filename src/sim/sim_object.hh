@@ -70,14 +70,6 @@ class SimObject
     std::uint16_t traceTrack() const { return track; }
     void setTraceTrack(std::uint16_t t) { track = t; }
 
-  protected:
-    /** Schedule @p event @p delay ticks from now. */
-    void
-    scheduleIn(Event *event, Tick delay)
-    {
-        eq.schedule(event, curTick() + delay);
-    }
-
   private:
     std::string objName;
     EventQueue &eq;

@@ -310,7 +310,8 @@ TraceBuffer::readFile(const std::string &path)
     out.ticksPerSec = in.u64();
     out.recorded = in.u64();
     std::uint64_t retained = in.u64();
-    if (retained * recordWireBytes > in.remaining())
+    // Divide, not multiply: a crafted count must not wrap the check.
+    if (retained > in.remaining() / recordWireBytes)
         fatal("trace file '%s' is truncated (header claims %llu "
               "records)", path.c_str(),
               static_cast<unsigned long long>(retained));

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "check/invariant.hh"
 #include "check/sim_checker.hh"
 #include "common/types.hh"
@@ -108,10 +110,20 @@ TEST(BrokenModelTest, EventScheduledInThePast)
     EventQueue eq;
     eq.scheduleLambda(1000, [] {});
     eq.run(2000);
-    CallbackEvent late("late", [] {});
     check::ViolationTrap trap;
-    EXPECT_THROW(eq.schedule(&late, 500), check::ViolationError);
-    EXPECT_NE(trap.lastMessage().find("past"), std::string::npos);
+    EXPECT_THROW(eq.scheduleLambda(500, [] {}, EventPriority::Default,
+                                   "late"),
+                 check::ViolationError);
+    EXPECT_NE(trap.lastMessage().find("'late' scheduled in the past"),
+              std::string::npos);
+    // The check runs before an arena slot is taken: the trapped
+    // violation booked nothing, and the queue keeps working.
+    EXPECT_EQ(eq.size(), 0u);
+    bool ran = false;
+    eq.scheduleLambda(3000, [&ran] { ran = true; });
+    eq.run();
+    EXPECT_TRUE(ran);
+    EXPECT_EQ(eq.curTick(), 3000u);
 }
 
 TEST(BrokenModelTest, PcieUsefulBytesExceedPayload)
@@ -217,6 +229,63 @@ TEST(BrokenModelTest, SimCheckerSweepsPeriodically)
     EXPECT_GE(runs, 5u);
     EXPECT_EQ(eq.size(), 0u);
     EXPECT_EQ(checker.sweepsRun.value(), runs);
+}
+
+// start() while a sweep is booked must not book a second one: the
+// double start below still sweeps exactly once per busy interval.
+TEST(SimCheckerTest, StartTwiceBooksOneSweepPerInterval)
+{
+    EventQueue eq;
+    StatGroup root("root");
+    SimChecker checker("checker", eq, tickPerUs, &root);
+    checker.start();
+    checker.start();
+    EXPECT_EQ(eq.size(), 1u);
+
+    // Busy until 10 us. Each sweep services after the same-tick
+    // lambda (Stats priority), so the tenth one sees a drained queue.
+    for (int i = 1; i <= 10; ++i)
+        eq.scheduleLambda(Tick(i) * tickPerUs, [] {});
+    eq.run();
+    EXPECT_EQ(checker.sweepsRun.value(), 10u);
+    EXPECT_EQ(eq.curTick(), 10 * tickPerUs);
+}
+
+// A sweep that finds nothing else queued books no successor, so the
+// queue drains; a later start() arms the checker again.
+TEST(SimCheckerTest, SweepStopsOnceQueueDrains)
+{
+    EventQueue eq;
+    StatGroup root("root");
+    SimChecker checker("checker", eq, tickPerUs, &root);
+    checker.start();
+    eq.run();
+    EXPECT_EQ(checker.sweepsRun.value(), 1u);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.curTick(), tickPerUs);
+
+    checker.start();
+    EXPECT_EQ(eq.size(), 1u);
+    eq.run();
+    EXPECT_EQ(checker.sweepsRun.value(), 2u);
+    EXPECT_TRUE(eq.empty());
+}
+
+// SimSystem destroys its checker before its queue, with a sweep still
+// booked. The queue's teardown must dispose that sweep without
+// running it (ASan/UBSan legs catch a use after free or a leak).
+TEST(SimCheckerTest, DestroyedBeforeQueueTearsDownCleanly)
+{
+    auto eq = std::make_unique<EventQueue>();
+    StatGroup root("root");
+    {
+        SimChecker checker("checker", *eq, tickPerUs, &root);
+        checker.addCheck("never_runs", [] { FAIL(); });
+        checker.start();
+        eq->scheduleLambda(5 * tickPerUs, [] {});
+    }
+    EXPECT_EQ(eq->size(), 2u);
+    eq.reset();
 }
 
 TEST(SimSystemCheckerTest, HealthySystemSweepsClean)

@@ -72,4 +72,37 @@ if(NOT rc EQUAL 0)
         "well-formed kmu_sim invocation rejected (rc=${rc}): ${err}")
 endif()
 
+# Shard aliasing: under the default cacheline interleave every
+# batch-1 prefetch read lands on shard 0. The run must still succeed
+# and name the fix on stderr; page interleave spreads the reads and
+# must not warn.
+execute_process(
+    COMMAND ${KMU_SIM} mechanism=prefetch cores=8 threads=8 shards=4
+            measure_us=20
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+        "aliased-shard kmu_sim run failed (rc=${rc}): ${err}")
+endif()
+if(NOT err MATCHES "interleave=page")
+    message(FATAL_ERROR
+        "aliased-shard kmu_sim run printed no warning: '${err}'")
+endif()
+execute_process(
+    COMMAND ${KMU_SIM} mechanism=prefetch cores=8 threads=8 shards=4
+            measure_us=20 interleave=page
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+        "page-interleaved kmu_sim run failed (rc=${rc}): ${err}")
+endif()
+if(err MATCHES "warning")
+    message(FATAL_ERROR
+        "page-interleaved kmu_sim run warned: '${err}'")
+endif()
+
 message(STATUS "cli bad-input gate passed")

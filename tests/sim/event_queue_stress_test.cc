@@ -4,10 +4,9 @@
  *
  * A naive reference model — a flat vector served by min-scan over
  * (tick, priority, insertion sequence) — defines the one true service
- * order. Randomized schedule/deschedule/reschedule/service
- * interleavings are replayed against the production EventQueue (its
- * ladder calendar scheduler), and every serviced event must match
- * the reference pop exactly.
+ * order. Randomized schedule/service interleavings are replayed
+ * against the production EventQueue (its ladder calendar scheduler),
+ * and every serviced event must match the reference pop exactly.
  *
  * The tick deltas are drawn across all ladder rungs (sub-ns buckets
  * through the >17 ms overflow list), so the sweeps cross bucket
@@ -23,7 +22,6 @@
 #include <cstdint>
 #include <memory>
 #include <random>
-#include <string>
 #include <vector>
 
 #include "sim/event.hh"
@@ -33,21 +31,27 @@ namespace kmu
 namespace
 {
 
-class IdEvent : public Event
+/** Book a one-shot that appends @p id to @p log when it runs. */
+void
+post(EventQueue &eq, Tick when, int id, std::vector<int> &log,
+     EventPriority prio = EventPriority::Default)
+{
+    eq.scheduleLambda(when, [&log, id] { log.push_back(id); }, prio,
+                      "id");
+}
+
+/** A capture that counts its live copies, so a test can see the
+ *  queue dispose every callable it holds. */
+class Counted
 {
   public:
-    IdEvent(int id, std::vector<int> &log,
-            EventPriority prio = EventPriority::Default)
-        : Event("id" + std::to_string(id), prio), id(id), log(log)
-    {
-    }
-
-    void process() override { log.push_back(id); }
-
-    const int id;
+    explicit Counted(int &live_copies) : live(&live_copies) { ++*live; }
+    Counted(const Counted &other) : live(other.live) { ++*live; }
+    Counted &operator=(const Counted &) = delete;
+    ~Counted() { --*live; }
 
   private:
-    std::vector<int> &log;
+    int *live;
 };
 
 /**
@@ -77,16 +81,6 @@ class ReferenceQueue
     {
         entries.push_back(
             {when, static_cast<std::int32_t>(prio), seq, id});
-    }
-
-    void
-    erase(std::uint64_t seq)
-    {
-        auto it = std::find_if(
-            entries.begin(), entries.end(),
-            [&](const RefEntry &e) { return e.seq == seq; });
-        ASSERT_NE(it, entries.end());
-        entries.erase(it);
     }
 
     /** Pop the strict (when, prio, seq) minimum. */
@@ -175,7 +169,7 @@ drawPackedPriority(std::mt19937_64 &rng)
     return prios[rng() % prios.size()];
 }
 
-// Random interleavings of the full mutation API, validated op-by-op
+// Random interleavings of schedule and service, validated op-by-op
 // against the reference model. Seeded, so failures replay exactly.
 TEST_P(EventQueueStressTest, RandomOpsMatchReferenceModel)
 {
@@ -184,18 +178,12 @@ TEST_P(EventQueueStressTest, RandomOpsMatchReferenceModel)
     std::mt19937_64 rng(0x5eed'0001);
 
     std::vector<int> log;
-    constexpr int poolSize = 64;
-    std::vector<std::unique_ptr<IdEvent>> pool(poolSize);
-
+    constexpr std::size_t maxPending = 64;
     // The reference mirrors the queue's insertion-sequence counter:
-    // one seq per schedule() call, including the one inside
-    // reschedule(). perEventSeq remembers each event's live entry.
+    // one seq per scheduleLambda() call.
     std::uint64_t nextSeq = 0;
-    std::array<std::uint64_t, poolSize> perEventSeq{};
-
-    std::vector<int> idle;    // pool indices not scheduled
-    std::vector<int> pending; // pool indices scheduled
-    Tick lastWhen = 0;        // reused sometimes to force exact ties
+    int nextId = 0;
+    Tick lastWhen = 0; // reused sometimes to force exact ties
 
     auto drawWhen = [&]() -> Tick {
         if (rng() % 4 == 0 && lastWhen >= eq.curTick())
@@ -204,43 +192,13 @@ TEST_P(EventQueueStressTest, RandomOpsMatchReferenceModel)
         return lastWhen;
     };
 
-    for (int i = 0; i < poolSize; ++i)
-        idle.push_back(i);
-
     for (int op = 0; op < 30'000; ++op) {
-        const auto pick = rng() % 100;
-        if (pick < 45 && !idle.empty()) {
-            // Schedule an idle event at a random tick/priority.
-            const int slot = int(rng() % idle.size());
-            const int id = idle[slot];
-            idle.erase(idle.begin() + slot);
+        if (rng() % 100 < 60 && ref.size() < maxPending) {
+            // Schedule at a random tick and packed priority.
             const Tick when = drawWhen();
-            const EventPriority prio = drawPriority(rng);
-            if (!pool[std::size_t(id)] ||
-                pool[std::size_t(id)]->priority() != prio)
-                pool[std::size_t(id)] =
-                    std::make_unique<IdEvent>(id, log, prio);
-            eq.schedule(pool[std::size_t(id)].get(), when);
-            ref.insert(when, prio, nextSeq, id);
-            perEventSeq[std::size_t(id)] = nextSeq++;
-            pending.push_back(id);
-        } else if (pick < 55 && !pending.empty()) {
-            // Deschedule a random pending event.
-            const int slot = int(rng() % pending.size());
-            const int id = pending[slot];
-            pending.erase(pending.begin() + slot);
-            eq.deschedule(pool[std::size_t(id)].get());
-            ref.erase(perEventSeq[std::size_t(id)]);
-            idle.push_back(id);
-        } else if (pick < 70 && !pending.empty()) {
-            // Reschedule: cancels the old entry, takes a fresh seq.
-            const int id = pending[rng() % pending.size()];
-            const Tick when = drawWhen();
-            eq.reschedule(pool[std::size_t(id)].get(), when);
-            ref.erase(perEventSeq[std::size_t(id)]);
-            ref.insert(when, pool[std::size_t(id)]->priority(),
-                       nextSeq, id);
-            perEventSeq[std::size_t(id)] = nextSeq++;
+            const EventPriority prio = drawPackedPriority(rng);
+            post(eq, when, nextId, log, prio);
+            ref.insert(when, prio, nextSeq++, nextId++);
         } else {
             // Service a small burst, checking each pop against the
             // reference minimum.
@@ -252,18 +210,9 @@ TEST_P(EventQueueStressTest, RandomOpsMatchReferenceModel)
                 ASSERT_EQ(log.back(), expect.id)
                     << "service order diverged at op " << op;
                 ASSERT_EQ(eq.curTick(), expect.when);
-                pending.erase(std::find(pending.begin(),
-                                        pending.end(), expect.id));
-                idle.push_back(expect.id);
             }
         }
-
         ASSERT_EQ(eq.size(), ref.size());
-        // Lazy-cancel bookkeeping must stay bounded by live events
-        // (with the compaction trigger's floor of 64, +1 for the
-        // entry examined before the trigger fires).
-        ASSERT_LE(eq.deadEntries(), std::max<std::size_t>(
-                                        eq.size(), 64) + 1);
     }
 
     // Drain: the tail must come out in exact reference order too.
@@ -277,39 +226,43 @@ TEST_P(EventQueueStressTest, RandomOpsMatchReferenceModel)
     EXPECT_TRUE(eq.empty());
 }
 
-// One-shot lambda churn: owned arena slots must be recycled (never
-// accumulated) across schedule/run cycles, including heap-spilled
-// captures larger than the inline slot.
+// One-shot lambda churn: every callable must be disposed once it
+// has run (arena slots recycled, never accumulated) across
+// schedule/run cycles, including heap-spilled captures larger than
+// the inline slot.
 TEST_P(EventQueueStressTest, LambdaChurnKeepsArenaBounded)
 {
     EventQueue eq;
     std::mt19937_64 rng(0x5eed'0002);
     std::uint64_t hits = 0;
     std::uint64_t expected = 0;
+    int live = 0; // callables the queue still holds
 
     for (int round = 0; round < 200; ++round) {
         const int n = 1 + int(rng() % 100);
         for (int i = 0; i < n; ++i) {
             ++expected;
             if (rng() % 8 == 0) {
-                // Capture bigger than LambdaEvent's inline storage:
+                // Capture bigger than an Event slot's inline storage:
                 // exercises the heap-spill bind/dispose pair.
                 std::array<std::uint64_t, 16> big{};
                 big[0] = 1;
                 eq.scheduleLambda(
                     eq.curTick() + drawDelta(rng),
-                    [&hits, big]() { hits += big[0]; },
+                    [&hits, big, c = Counted(live)]() {
+                        hits += big[0];
+                    },
                     drawPriority(rng), "spill");
             } else {
                 eq.scheduleLambda(
                     eq.curTick() + 1 + rng() % 1000,
-                    [&hits]() { ++hits; }, drawPriority(rng),
-                    "inline");
+                    [&hits, c = Counted(live)]() { ++hits; },
+                    drawPriority(rng), "inline");
             }
         }
-        ASSERT_EQ(eq.ownedPending(), eq.size());
+        ASSERT_EQ(std::uint64_t(live), eq.size());
         eq.run();
-        ASSERT_EQ(eq.ownedPending(), 0u);
+        ASSERT_EQ(live, 0);
         ASSERT_TRUE(eq.empty());
     }
     EXPECT_EQ(hits, expected);
@@ -329,7 +282,7 @@ TEST_P(EventQueueStressTest, UnservicedLambdasFreedAtDestruction)
                               [keep = alive]() { (void)*keep; });
         alive.reset();
         EXPECT_FALSE(watch.expired()); // captures hold it
-        EXPECT_EQ(eq.ownedPending(), 100u);
+        EXPECT_EQ(eq.size(), 100u);
     }
     EXPECT_TRUE(watch.expired()); // every capture disposed
 }
@@ -349,18 +302,13 @@ TEST_P(EventQueueStressTest, BucketBoundaryOrdering)
         17'179'869'183, 17'179'869'184,              // overflow edge
     };
 
-    std::vector<std::unique_ptr<IdEvent>> events;
     std::vector<int> expect;
     int id = 0;
     // Two events per tick — same tick, different priority — inserted
     // in reverse-priority order so the scheduler must reorder them.
     for (const Tick t : ticks) {
-        events.push_back(std::make_unique<IdEvent>(
-            id, log, EventPriority::CpuTick));
-        eq.schedule(events.back().get(), t);
-        events.push_back(std::make_unique<IdEvent>(
-            id + 1, log, EventPriority::DeviceResponse));
-        eq.schedule(events.back().get(), t);
+        post(eq, t, id, log, EventPriority::CpuTick);
+        post(eq, t, id + 1, log, EventPriority::DeviceResponse);
         expect.push_back(id + 1); // DeviceResponse first
         expect.push_back(id);
         id += 2;
@@ -375,14 +323,10 @@ TEST_P(EventQueueStressTest, MaxTickSaturation)
 {
     EventQueue eq;
     std::vector<int> log;
-    IdEvent early(0, log);
-    IdEvent nearEnd(1, log);
-    IdEvent end1(2, log);
-    IdEvent end2(3, log); // same tick: seq tie-break at saturation
-    eq.schedule(&end1, maxTick);
-    eq.schedule(&end2, maxTick);
-    eq.schedule(&nearEnd, maxTick - 3);
-    eq.schedule(&early, 10);
+    post(eq, maxTick, 2, log);
+    post(eq, maxTick, 3, log); // same tick: seq tie-break at saturation
+    post(eq, maxTick - 3, 1, log);
+    post(eq, 10, 0, log);
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3}));
     EXPECT_EQ(eq.curTick(), maxTick);
@@ -395,7 +339,6 @@ TEST_P(EventQueueStressTest, OverflowRebasePreservesOrder)
 {
     EventQueue eq;
     std::vector<int> log;
-    std::vector<std::unique_ptr<IdEvent>> events;
     std::vector<int> expect;
 
     // Five generations, each ~20 ms apart (beyond the 17 ms rung-2
@@ -405,66 +348,12 @@ TEST_P(EventQueueStressTest, OverflowRebasePreservesOrder)
     int id = 0;
     for (int g = 1; g <= 5; ++g) {
         for (int i = 0; i < 3; ++i) {
-            events.push_back(std::make_unique<IdEvent>(id, log));
-            eq.schedule(events.back().get(),
-                        Tick(g) * gen + Tick(i) * 1'000);
+            post(eq, Tick(g) * gen + Tick(i) * 1'000, id, log);
             expect.push_back(id++);
         }
     }
     eq.run();
     EXPECT_EQ(log, expect);
-}
-
-// Regression: descheduling EVERY overflow entry and then draining
-// (which triggers an overflow rebase that meets only dead entries)
-// must not move the coarsest rung's window. The bug: the rebase set
-// the window to the dead entries' far-future minimum before
-// filtering, parking it well past the service point while frontEnd
-// stayed low. A later insert into the uncovered gap then joined the
-// active run while an earlier-tick insert landed in a stale
-// finer-rung window — and was serviced second, aborting on "time
-// went backwards". Timeout guards cancelled under load hit exactly
-// this shape.
-TEST_P(EventQueueStressTest, AllCancelledOverflowRebaseKeepsOrder)
-{
-    EventQueue eq;
-    std::vector<int> log;
-
-    // Park guard events deep in the overflow list (~2^40 ps = ~1 s),
-    // then cancel them all. The compaction trigger's floor keeps the
-    // cancellations lazy, so the dead seqs are still stored when the
-    // rebase runs.
-    std::vector<std::unique_ptr<IdEvent>> guards;
-    for (int i = 0; i < 4; ++i) {
-        guards.push_back(std::make_unique<IdEvent>(100 + i, log));
-        eq.schedule(guards.back().get(),
-                    (Tick(1) << 40) + Tick(i) * 1'000);
-    }
-    for (auto &g : guards)
-        eq.deschedule(g.get());
-
-    // Drain: the refill cascades through the empty rungs into the
-    // overflow rebase, which finds only cancelled entries.
-    EXPECT_FALSE(eq.serviceOne());
-    EXPECT_TRUE(eq.empty());
-
-    // A later event into what the stale window would leave as an
-    // uncovered gap, then an earlier event into the (possibly stale)
-    // finest-rung window. Service order must follow the ticks.
-    IdEvent later(1, log);
-    IdEvent earlier(0, log);
-    eq.schedule(&later, Tick(1) << 30);
-    eq.schedule(&earlier, Tick(1) << 16);
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{0, 1}));
-    EXPECT_EQ(eq.curTick(), Tick(1) << 30);
-
-    // The rungs must still accept and rebase a fresh overflow
-    // generation after the all-cancelled episode.
-    IdEvent far(2, log);
-    eq.schedule(&far, Tick(1) << 40);
-    eq.run();
-    EXPECT_EQ(log, (std::vector<int>{0, 1, 2}));
 }
 
 // Sparse-bucket promotion: µs-spaced events leave coarse-rung buckets
@@ -475,14 +364,10 @@ TEST_P(EventQueueStressTest, SparseBucketPromotionOrdering)
 {
     EventQueue eq;
     std::vector<int> log;
-    std::vector<std::unique_ptr<IdEvent>> events;
 
     // A sparse µs-spaced stream (the device-completion shape).
-    for (int i = 0; i < 64; ++i) {
-        events.push_back(std::make_unique<IdEvent>(i, log));
-        eq.schedule(events.back().get(),
-                    Tick(i + 1) * 1'000'000); // every 1 µs
-    }
+    for (int i = 0; i < 64; ++i)
+        post(eq, Tick(i + 1) * 1'000'000, i, log); // every 1 µs
 
     // Service half, injecting a near event after each pop — each
     // injection lands inside whatever window the promotion exposed.
@@ -491,8 +376,7 @@ TEST_P(EventQueueStressTest, SparseBucketPromotionOrdering)
     for (int i = 0; i < 32; ++i) {
         expect.push_back(i);
         ASSERT_TRUE(eq.serviceOne());
-        events.push_back(std::make_unique<IdEvent>(nextId, log));
-        eq.schedule(events.back().get(), eq.curTick() + 100);
+        post(eq, eq.curTick() + 100, nextId, log);
         expect.push_back(nextId++);
         ASSERT_TRUE(eq.serviceOne());
     }
@@ -500,103 +384,6 @@ TEST_P(EventQueueStressTest, SparseBucketPromotionOrdering)
         expect.push_back(i);
     eq.run();
     EXPECT_EQ(log, expect);
-}
-
-// The cancel set's empty fast path: the set fills with entries
-// cancelled in the active run, in rungs 1 and 2 and in overflow, and
-// drains to empty as the scheduler meets them, over and over, with
-// priorities at both ends of the packed range. Every pop must match
-// the reference model.
-TEST_P(EventQueueStressTest, CancelSetDrainsAndRefillsAcrossRungs)
-{
-    EventQueue eq;
-    ReferenceQueue ref;
-    std::mt19937_64 rng(0x5eed'0004);
-    std::vector<int> log;
-    std::vector<std::unique_ptr<IdEvent>> pool; // one event per id
-    std::vector<std::uint64_t> seqOf;           // its entry's seq
-    std::uint64_t nextSeq = 0; // mirrors the queue's counter
-    int refills = 0;           // cancel set went empty -> non-empty
-    int drains = 0;            // ... and back to empty
-
-    auto add = [&](Tick when) {
-        const int id = int(pool.size());
-        const EventPriority prio = drawPackedPriority(rng);
-        pool.push_back(std::make_unique<IdEvent>(id, log, prio));
-        eq.schedule(pool.back().get(), when);
-        ref.insert(when, prio, nextSeq, id);
-        seqOf.push_back(nextSeq++);
-        return id;
-    };
-    auto cancel = [&](int id) {
-        const bool wasEmpty = eq.deadEntries() == 0;
-        eq.deschedule(pool[std::size_t(id)].get());
-        ref.erase(seqOf[std::size_t(id)]);
-        if (wasEmpty && eq.deadEntries() > 0)
-            ++refills;
-    };
-    auto service = [&]() {
-        const bool hadDead = eq.deadEntries() > 0;
-        const auto expect = ref.pop();
-        ASSERT_TRUE(eq.serviceOne());
-        ASSERT_EQ(log.back(), expect.id);
-        ASSERT_EQ(eq.curTick(), expect.when);
-        if (hadDead && eq.deadEntries() == 0)
-            ++drains;
-    };
-
-    // Offsets past each rung's span: rung 0 covers 2^18 ps, rung 1
-    // 2^26 and rung 2 2^34; beyond that is overflow.
-    const std::array<std::pair<Tick, Tick>, 3> far = {{
-        {Tick(1) << 18, Tick(1) << 26},
-        {Tick(1) << 26, Tick(1) << 34},
-        {Tick(1) << 35, Tick(1) << 40},
-    }};
-
-    for (int round = 0; round < 400; ++round) {
-        // Rungs 1 and 2 and overflow: three entries each, one of
-        // them cancelled in about half the rounds.
-        for (const auto &[lo, hi] : far) {
-            int ids[3];
-            for (int &id : ids)
-                id = add(eq.curTick() + lo + rng() % (hi - lo));
-            if (rng() % 2 == 0)
-                cancel(ids[rng() % 3]);
-        }
-        // The active run: a service pulls the earliest bucket into
-        // it, and entries at curTick() join it by sorted insert. Zero,
-        // one or two of them are cancelled, so the set often holds a
-        // single key when the run meets it.
-        for (int i = 0; i < 4; ++i)
-            add(eq.curTick() + rng() % 1000);
-        service();
-        int now_ids[4];
-        for (int &id : now_ids)
-            id = add(eq.curTick());
-        const int now_cancels = int(rng() % 3);
-        if (now_cancels > 0)
-            cancel(now_ids[rng() % 2]);
-        if (now_cancels > 1)
-            cancel(now_ids[2 + rng() % 2]);
-
-        const int burst = 1 + int(rng() % 8);
-        for (int k = 0; k < burst && ref.size() > 0; ++k)
-            service();
-        if (round % 8 == 7) {
-            // Run dry: every cancelled entry is met and dropped.
-            while (ref.size() > 0)
-                service();
-            ASSERT_FALSE(eq.serviceOne());
-            ASSERT_EQ(eq.deadEntries(), 0u);
-        }
-        ASSERT_EQ(eq.size(), ref.size()) << "at round " << round;
-    }
-    while (ref.size() > 0)
-        service();
-    EXPECT_FALSE(eq.serviceOne());
-    EXPECT_EQ(eq.deadEntries(), 0u);
-    EXPECT_GE(refills, 50);
-    EXPECT_GE(drains, 50);
 }
 
 // A second seeded workload with an unbounded event pool: the ladder
@@ -608,10 +395,8 @@ TEST(EventQueueStressCrossTest, KernelsAgreeOnRandomWorkload)
     ReferenceQueue ref;
     std::vector<int> log, refLog;
     std::mt19937_64 rng(0x5eed'0003);
-    std::vector<std::unique_ptr<IdEvent>> pool;
-    std::vector<std::uint64_t> seqOf; // live entry's seq, per id
-    std::uint64_t nextSeq = 0;        // mirrors the queue's counter
-    std::vector<int> pending;
+    std::uint64_t nextSeq = 0; // mirrors the queue's counter
+    int nextId = 0;
 
     auto serviceBoth = [&]() {
         const auto expect = ref.pop();
@@ -621,37 +406,14 @@ TEST(EventQueueStressCrossTest, KernelsAgreeOnRandomWorkload)
     };
 
     for (int op = 0; op < 20'000; ++op) {
-        const auto pick = rng() % 100;
-        if (pick < 60) {
-            const int id = int(pool.size());
+        if (rng() % 100 < 60) {
             const EventPriority prio = drawPriority(rng);
-            pool.push_back(std::make_unique<IdEvent>(id, log, prio));
             const Tick when = eq.curTick() + drawDelta(rng);
-            eq.schedule(pool.back().get(), when);
-            ref.insert(when, prio, nextSeq, id);
-            seqOf.push_back(nextSeq++);
-            pending.push_back(id);
-        } else if (pick < 70 && !pending.empty()) {
-            const int slot = int(rng() % pending.size());
-            const int id = pending[slot];
-            eq.deschedule(pool[std::size_t(id)].get());
-            ref.erase(seqOf[std::size_t(id)]);
-            pending.erase(pending.begin() + slot);
-        } else if (pick < 80 && !pending.empty()) {
-            const int id = pending[rng() % pending.size()];
-            const Tick when = eq.curTick() + drawDelta(rng);
-            eq.reschedule(pool[std::size_t(id)].get(), when);
-            ref.erase(seqOf[std::size_t(id)]);
-            ref.insert(when, pool[std::size_t(id)]->priority(),
-                       nextSeq, id);
-            seqOf[std::size_t(id)] = nextSeq++;
+            post(eq, when, nextId, log, prio);
+            ref.insert(when, prio, nextSeq++, nextId++);
         } else {
             for (int n = 0; n < 4 && ref.size() > 0; ++n)
                 serviceBoth();
-            pending.clear();
-            for (std::size_t i = 0; i < pool.size(); ++i)
-                if (pool[i]->scheduled())
-                    pending.push_back(int(i));
         }
         ASSERT_EQ(eq.size(), ref.size()) << "at op " << op;
     }

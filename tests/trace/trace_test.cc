@@ -195,6 +195,33 @@ TEST(TraceBufferTest, WraparoundSurvivesRoundtrip)
     std::remove(path.c_str());
 }
 
+// A header whose record count times the record size wraps 64 bits
+// (0x0AAAAAAAAAAAAAAB * 24 = 2^64 + 8) must still be caught as
+// truncated, not reach reserve() and abort with std::length_error.
+TEST(TraceBufferDeathTest, WrappingRecordCountIsTruncation)
+{
+    std::string blob = "KMUTRC01";
+    auto put = [&blob](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i)
+            blob.push_back(char((v >> (8 * i)) & 0xff));
+    };
+    put(tickPerSec);            // ticksPerSec
+    put(0);                     // recorded
+    put(0x0AAAAAAAAAAAAAABull); // retained
+    put(0);
+    put(0);
+    ASSERT_EQ(blob.size(), 48u);
+
+    const std::string path = tempPath("wrapcount.kmt");
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(blob.data(), 1, blob.size(), f), blob.size());
+    std::fclose(f);
+    EXPECT_EXIT(TraceBuffer::readFile(path),
+                ::testing::ExitedWithCode(1), "truncated");
+    std::remove(path.c_str());
+}
+
 TEST(TraceKinds, NamesAreUniqueAndStable)
 {
     std::set<std::string> seen;

@@ -269,6 +269,17 @@ main(int argc, char **argv)
     if (trace_buf)
         trace_buf->writeFile(trace_path);
 
+    // The default address plan aliases batch-1 reads onto one shard
+    // under cacheline interleave; say so on stderr only, so stdout
+    // keeps its bytes. (A DRAM-backed run has no device traffic.)
+    if (cfg.topo.shards > 1 && res.shardRequestsMax > 0 &&
+        res.shardRequestsMin == 0)
+        std::fprintf(stderr,
+                     "kmu_sim: warning: shards=%u but a shard served "
+                     "no device requests (address aliasing); use "
+                     "interleave=page or batch>1\n",
+                     cfg.topo.shards);
+
     const RunResult base = runSystem(baselineConfig(cfg));
 
     if (csv) {
